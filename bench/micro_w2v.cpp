@@ -4,7 +4,8 @@
 ///
 /// After the google-benchmark suite, two comparison harnesses run:
 /// the trainer comparison (Hogwild vs batched plus the negative-table
-/// samplers, best-of-3, BENCH_w2v.json) and the kernel-backend A/B
+/// samplers, and the Hogwild 1/2/4-thread axis at d = 8 in ns per
+/// pair, best-of-3, BENCH_w2v.json with an `nproc` meta key) and the kernel-backend A/B
 /// (scalar vs simd single-pair update loop, cache-hot, per dim
 /// 8/32/128, BENCH_w2v_kernels.json with a `simd_isa` meta key so the
 /// regression gate skips cross-ISA comparisons) — see bench_json.hpp
@@ -17,6 +18,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <ctime>
+#include <string>
 
 namespace {
 
@@ -38,24 +41,48 @@ shared_corpus()
     return corpus;
 }
 
+/// The perfbench lp-email corpus shape (ia-email@0.1, K = 10, N = 6):
+/// large enough that a 4-thread team runs several merge rounds per
+/// epoch, which the small shared corpus above does not.
+const walk::Corpus&
+scaling_corpus()
+{
+    static const walk::Corpus corpus = [] {
+        const auto dataset = gen::make_dataset("ia-email", 0.1, 1);
+        const auto graph = graph::GraphBuilder::build(
+            dataset.edges, {.symmetrize = true});
+        walk::WalkConfig config;
+        config.walks_per_node = 10;
+        config.max_length = 6;
+        config.seed = 1;
+        return walk::generate_walks(graph, config);
+    }();
+    return corpus;
+}
+
 graph::NodeId
-corpus_nodes()
+max_node_plus_one(const walk::Corpus& corpus)
 {
     graph::NodeId max_node = 0;
-    for (graph::NodeId node : shared_corpus().tokens()) {
+    for (graph::NodeId node : corpus.tokens()) {
         max_node = std::max(max_node, node);
     }
     return max_node + 1;
 }
 
+/// Args: dim, team size (0 = default threads). The d = 8 thread axis
+/// runs on scaling_corpus() and reports ns of wall time per pair.
 void
 BM_HogwildTrain(benchmark::State& state)
 {
-    const walk::Corpus& corpus = shared_corpus();
-    const graph::NodeId nodes = corpus_nodes();
+    const unsigned threads = static_cast<unsigned>(state.range(1));
+    const walk::Corpus& corpus =
+        threads != 0 ? scaling_corpus() : shared_corpus();
+    const graph::NodeId nodes = max_node_plus_one(corpus);
     embed::SgnsConfig config;
     config.dim = static_cast<unsigned>(state.range(0));
     config.epochs = 1;
+    config.num_threads = threads;
     std::uint64_t pairs = 0;
     for (auto _ : state) {
         embed::TrainStats stats;
@@ -64,12 +91,18 @@ BM_HogwildTrain(benchmark::State& state)
         pairs += stats.pairs_trained;
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(pairs));
+    state.counters["ns_per_pair"] = benchmark::Counter(
+        static_cast<double>(pairs) * 1e-9,
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 
 BENCHMARK(BM_HogwildTrain)
-    ->Arg(8)
-    ->Arg(32)
-    ->Arg(128)
+    ->Args({8, 1})
+    ->Args({8, 2})
+    ->Args({8, 4})
+    ->Args({8, 0})
+    ->Args({32, 0})
+    ->Args({128, 0})
     ->Unit(benchmark::kMillisecond);
 
 void
@@ -77,7 +110,7 @@ run_batched(benchmark::State& state, std::size_t batch, unsigned stride,
             bool vectorized)
 {
     const walk::Corpus& corpus = shared_corpus();
-    const graph::NodeId nodes = corpus_nodes();
+    const graph::NodeId nodes = max_node_plus_one(corpus);
     embed::BatchedSgnsConfig config;
     config.sgns.dim = 8;
     config.sgns.epochs = 1;
@@ -129,7 +162,7 @@ void
 BM_BatchedSharedNegatives(benchmark::State& state)
 {
     const walk::Corpus& corpus = shared_corpus();
-    const graph::NodeId nodes = corpus_nodes();
+    const graph::NodeId nodes = max_node_plus_one(corpus);
     embed::BatchedSgnsConfig config;
     config.sgns.dim = 8;
     config.sgns.epochs = 1;
@@ -210,7 +243,7 @@ void
 run_trainer_comparison()
 {
     const walk::Corpus& corpus = shared_corpus();
-    const graph::NodeId nodes = corpus_nodes();
+    const graph::NodeId nodes = max_node_plus_one(corpus);
 
     embed::SgnsConfig hogwild;
     hogwild.dim = 32;
@@ -279,7 +312,51 @@ run_trainer_comparison()
     std::printf("hogwild %8.4fs | batched %8.4fs | neg alias %8.4fs | "
                 "neg array %8.4fs\n",
                 hogwild_s, batched_s, alias_s, array_s);
-    bench::write_bench_json("BENCH_w2v.json", "w2v", entries);
+
+    // Thread scaling at the paper's d = 8 on the lp-email corpus shape:
+    // wall and process-CPU ns per pair of the fastest of 3 reps. CPU
+    // per pair is what cross-core line transfers inflate.
+    const walk::Corpus& scaling = scaling_corpus();
+    const graph::NodeId scaling_nodes = max_node_plus_one(scaling);
+    for (const unsigned threads : {1u, 2u, 4u}) {
+        embed::SgnsConfig config;
+        config.dim = 8;
+        config.epochs = 1;
+        config.num_threads = threads;
+        double best = 1e300;
+        double best_cpu = 0.0;
+        std::uint64_t pairs = 0;
+        for (int rep = 0; rep < 3; ++rep) {
+            embed::TrainStats stats;
+            const std::clock_t cpu_start = std::clock();
+            util::Timer timer;
+            benchmark::DoNotOptimize(embed::train_sgns(
+                scaling, scaling_nodes, config, &stats));
+            const double seconds = timer.seconds();
+            const double cpu = static_cast<double>(std::clock() -
+                                                   cpu_start) /
+                               CLOCKS_PER_SEC;
+            if (seconds < best) {
+                best = seconds;
+                best_cpu = cpu;
+                pairs = stats.pairs_trained;
+            }
+        }
+        const double per_pair = pairs > 0 ? 1e9 / pairs : 0.0;
+        entries.push_back(
+            {util::strcat("w2v/hogwild_d8/threads", threads), best,
+             best > 0.0 ? pairs / best : 0.0,
+             {{"threads", static_cast<double>(threads)},
+              {"pairs", static_cast<double>(pairs)},
+              {"ns_per_pair", best * per_pair},
+              {"cpu_ns_per_pair", best_cpu * per_pair}}});
+        std::printf("hogwild d=8 %u thread(s): %8.4fs | %6.1f ns/pair | "
+                    "%6.1f cpu ns/pair\n",
+                    threads, best, best * per_pair, best_cpu * per_pair);
+    }
+    bench::write_bench_json(
+        "BENCH_w2v.json", "w2v", entries,
+        {{"nproc", std::to_string(util::host_info().hardware_threads)}});
 }
 
 /// Scalar-vs-simd kernel backend A/B on the cache-hot single-pair
@@ -325,8 +402,9 @@ run_kernel_comparison()
                         const auto center = static_cast<embed::WordId>(
                             pair_random.next_index(kVocab));
                         embed::sgns_update_pair(
-                            model, context, center, negatives, kNegatives,
-                            0.025f, ops, negative_random, scratch.data());
+                            model, model.output_data(), context, center,
+                            negatives, kNegatives, 0.025f, ops,
+                            negative_random, scratch.data());
                     }
                     const double seconds = timer.seconds();
                     benchmark::DoNotOptimize(model.all_finite());

@@ -7,11 +7,14 @@
 
 #include <atomic>
 #include <cmath>
+#include <memory>
 #include <string_view>
 
 namespace tgl::embed {
 
 namespace {
+
+constexpr std::size_t kLineFloats = kCacheLineBytes / sizeof(float);
 
 /// The reference per-target SGNS step, templated on the uncoalesced
 /// model so both scalar backends share one body. Processing targets
@@ -234,13 +237,26 @@ SgnsModel::to_embedding(const Vocab& vocab, graph::NodeId num_nodes) const
     return embedding;
 }
 
+RankBuffers::RankBuffers(unsigned ranks, std::size_t floats)
+    : stride_((floats + kLineFloats - 1) / kLineFloats * kLineFloats),
+      storage_(ranks * stride_ + kLineFloats, 0.0f)
+{
+    void* begin = storage_.data();
+    std::size_t space = storage_.size() * sizeof(float);
+    base_ = static_cast<float*>(std::align(
+        kCacheLineBytes, ranks * stride_ * sizeof(float), begin, space));
+    TGL_ASSERT(base_ != nullptr);
+}
+
 void
-sgns_update_pair(SgnsModel& model, WordId context, WordId center,
-                 const NegativeTable& negatives, unsigned num_negatives,
-                 float alpha, const kernels::SgnsBackendOps& ops,
-                 rng::Random& random, float* scratch)
+sgns_update_pair(SgnsModel& model, float* output, WordId context,
+                 WordId center, const NegativeTable& negatives,
+                 unsigned num_negatives, float alpha,
+                 const kernels::SgnsBackendOps& ops, rng::Random& random,
+                 float* scratch)
 {
     const unsigned dim = model.dim();
+    const std::size_t stride = model.stride();
 
     float* context_row = model.input_row(context);
     for (unsigned i = 0; i < dim; ++i) {
@@ -267,7 +283,7 @@ sgns_update_pair(SgnsModel& model, WordId context, WordId center,
             }
             label = 0.0f;
         }
-        rows[count] = model.output_row(target);
+        rows[count] = output + target * stride;
         labels[count] = label;
         if (++count == kernels::kSgnsTargetChunk) {
             ops.update_targets(context_row, rows, labels, count, dim,
@@ -283,12 +299,14 @@ sgns_update_pair(SgnsModel& model, WordId context, WordId center,
 }
 
 void
-sgns_update_pair_shared(SgnsModel& model, WordId context, WordId center,
+sgns_update_pair_shared(SgnsModel& model, float* output, WordId context,
+                        WordId center,
                         std::span<const WordId> shared_negatives,
                         float alpha, const kernels::SgnsBackendOps& ops,
                         float* scratch)
 {
     const unsigned dim = model.dim();
+    const std::size_t stride = model.stride();
 
     float* context_row = model.input_row(context);
     for (unsigned i = 0; i < dim; ++i) {
@@ -312,7 +330,7 @@ sgns_update_pair_shared(SgnsModel& model, WordId context, WordId center,
             }
             label = 0.0f;
         }
-        rows[count] = model.output_row(target);
+        rows[count] = output + target * stride;
         labels[count] = label;
         if (++count == kernels::kSgnsTargetChunk) {
             ops.update_targets(context_row, rows, labels, count, dim,

@@ -84,11 +84,13 @@ class SgnsModel
         return input_.data() + static_cast<std::size_t>(w) * stride_;
     }
 
-    float*
-    output_row(WordId w)
-    {
-        return output_.data() + static_cast<std::size_t>(w) * stride_;
-    }
+    /// Base of the output matrix: row w starts at w * stride(). The
+    /// update kernels take an output base explicitly, so a trainer can
+    /// point them at a thread-private copy of this matrix instead.
+    float* output_data() { return output_.data(); }
+
+    /// Floats in one weight matrix (vocab_size() * stride()).
+    std::size_t matrix_floats() const { return output_.size(); }
 
     const float*
     input_row(WordId w) const
@@ -115,6 +117,26 @@ class SgnsModel
     std::size_t vocab_size_;
     std::vector<float> input_;
     std::vector<float> output_;
+};
+
+/// Cache-line size the trainers pad per-thread state to.
+inline constexpr std::size_t kCacheLineBytes = 64;
+
+/// Per-thread float buffers, each starting on its own cache line and
+/// padded to whole lines, so one thread's writes never invalidate a
+/// line that holds another thread's buffer (or any other heap object).
+/// Buffers start zeroed.
+class RankBuffers
+{
+  public:
+    RankBuffers(unsigned ranks, std::size_t floats);
+
+    float* operator[](unsigned rank) { return base_ + rank * stride_; }
+
+  private:
+    std::size_t stride_;
+    std::vector<float> storage_;
+    float* base_;
 };
 
 namespace detail {
@@ -168,19 +190,21 @@ const kernels::SgnsBackendOps& sgns_kernel_ops(const SgnsConfig& config);
 /// from output[negatives]. Follows the word2vec reference kernel
 /// (gradient accumulated in @p scratch, applied to the input row last),
 /// buffering targets into kernels::kSgnsTargetChunk-row chunks for
-/// @p ops.update_targets. Writes are unsynchronized — Hogwild
-/// semantics.
-void sgns_update_pair(SgnsModel& model, WordId context, WordId center,
-                      const NegativeTable& negatives, unsigned num_negatives,
-                      float alpha, const kernels::SgnsBackendOps& ops,
+/// @p ops.update_targets. @p output is the output matrix the update
+/// writes: model.output_data() or a private copy laid out like it.
+/// Writes are unsynchronized — Hogwild semantics.
+void sgns_update_pair(SgnsModel& model, float* output, WordId context,
+                      WordId center, const NegativeTable& negatives,
+                      unsigned num_negatives, float alpha,
+                      const kernels::SgnsBackendOps& ops,
                       rng::Random& random, float* scratch);
 
 /// Variant taking pre-sampled negatives (the shared-negative-sampling
 /// GPU optimization: one negative pool drawn per batch and reused by
 /// every pair, replacing per-pair table draws with reads of rows that
 /// are already cache-hot).
-void sgns_update_pair_shared(SgnsModel& model, WordId context,
-                             WordId center,
+void sgns_update_pair_shared(SgnsModel& model, float* output,
+                             WordId context, WordId center,
                              std::span<const WordId> shared_negatives,
                              float alpha,
                              const kernels::SgnsBackendOps& ops,

@@ -48,7 +48,8 @@ train_identity_sentence(SgnsModel& model, const NegativeTable& negatives,
             if (c == pos) {
                 continue;
             }
-            sgns_update_pair(model, static_cast<WordId>(sentence[c]),
+            sgns_update_pair(model, model.output_data(),
+                             static_cast<WordId>(sentence[c]),
                              static_cast<WordId>(sentence[pos]), negatives,
                              config.negatives, alpha, ops, random,
                              scratch);
@@ -142,11 +143,13 @@ train_sgns_streaming(util::ShardQueue<walk::CorpusShard>& queue,
     walk::Corpus corpus;
     std::size_t next_shard = 0;
 
-    const auto consume = [&]() {
+    const unsigned consumers = std::max(1u, streaming.consumer_threads);
+    RankBuffers consumer_scratch(consumers, config.dim);
+    const auto consume = [&](unsigned rank) {
         // Consumers are plain threads (not pool workers), so each
         // carries its own per-thread counter scope for the phase.
         obs::PerfScope perf_scope("sgns");
-        std::vector<float> scratch(config.dim);
+        float* scratch = consumer_scratch[rank];
         std::uint64_t pairs = 0;
         while (std::optional<walk::CorpusShard> shard = queue.pop()) {
             const obs::Span shard_span("overlap.train.shard");
@@ -165,7 +168,7 @@ train_sgns_streaming(util::ShardQueue<walk::CorpusShard>& queue,
                     s));
                 train_identity_sentence(model, prior, config, ops,
                                         sentence, alpha, random,
-                                        scratch.data(), pairs);
+                                        scratch, pairs);
                 tokens_done.fetch_add(sentence.size(),
                                       std::memory_order_relaxed);
             }
@@ -182,13 +185,12 @@ train_sgns_streaming(util::ShardQueue<walk::CorpusShard>& queue,
     };
 
     {
-        const unsigned team = std::max(1u, streaming.consumer_threads);
         std::vector<std::thread> workers;
-        workers.reserve(team - 1);
-        for (unsigned t = 1; t < team; ++t) {
-            workers.emplace_back(consume);
+        workers.reserve(consumers - 1);
+        for (unsigned t = 1; t < consumers; ++t) {
+            workers.emplace_back(consume, t);
         }
-        consume(); // the calling thread is consumer rank 0
+        consume(0); // the calling thread is consumer rank 0
         for (std::thread& worker : workers) {
             worker.join();
         }
@@ -229,15 +231,12 @@ train_sgns_streaming(util::ShardQueue<walk::CorpusShard>& queue,
         const unsigned max_team = config.num_threads
                                       ? config.num_threads
                                       : util::default_threads();
-        struct RankState
+        struct alignas(kCacheLineBytes) RankState
         {
-            std::vector<float> scratch;
             std::uint64_t pairs = 0;
         };
         std::vector<RankState> ranks(max_team);
-        for (RankState& state : ranks) {
-            state.scratch.resize(config.dim);
-        }
+        RankBuffers scratch(max_team, config.dim);
 
         obs::PerfRankScopes perf_scopes("sgns", max_team);
 
@@ -260,8 +259,7 @@ train_sgns_streaming(util::ShardQueue<walk::CorpusShard>& queue,
                             s));
                     train_identity_sentence(model, exact, config, ops,
                                             sentence, alpha, random,
-                                            state.scratch.data(),
-                                            state.pairs);
+                                            scratch[rank], state.pairs);
                     tokens_done.fetch_add(sentence.size(),
                                           std::memory_order_relaxed);
                 },
