@@ -775,6 +775,10 @@ TEST(ServeServer, InjectedScorerStallLandsInSlowLog)
     util::FailpointRegistry::configure("serve.score=delay:60ms@1");
     (void)client.link_scores({{2, 3}}); // stalled in the scorer
     util::FailpointRegistry::clear();
+    // The server logs a request only after its response is on the
+    // socket. A connection's requests are served in order, so one more
+    // round trip guarantees both entries are in before the log is read.
+    (void)client.stats_json();
     const auto entries = fixture.server->slow_log().entries();
     ASSERT_GE(entries.size(), 2u);
     // The stalled request tops the log, with the stall attributed to

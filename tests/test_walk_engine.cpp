@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 #include <sstream>
 
@@ -292,7 +293,12 @@ struct ValidityCase
 {
     TransitionKind transition;
     bool strict;
+    // gtest names each case by the object's raw bytes; spell out the
+    // tail padding as zeroed members so copies carry no stack garbage
+    // and the case names are the same on every run.
+    std::uint8_t pad[sizeof(TransitionKind) - sizeof(bool)] = {};
 };
+static_assert(sizeof(ValidityCase) == 2 * sizeof(TransitionKind));
 
 class WalkValidity : public ::testing::TestWithParam<ValidityCase>
 {
