@@ -20,12 +20,14 @@ disagree on it are comparing incommensurable quantities, which is a
 schema error (exit 2), not a skip.
 
 Suites may carry a "meta" block (bench_json.hpp).  When the baseline
-and the current run disagree on meta["simd_isa"] — including when only
-one side records it — their timings were produced by different vector
-backends (e.g. an AVX2 baseline against a scalar-fallback build) and
-the suite is skipped with a warning instead of gated: a 2x "regression"
-that is really an ISA change must not page anyone, and a scalar
-baseline must not mask a real AVX2 regression.
+and the current run disagree on meta["simd_isa"] or meta["nproc"] —
+including when only one side records it — their timings come from
+different vector backends (e.g. an AVX2 baseline against a
+scalar-fallback build) or from different core counts (a thread-scaling
+entry trains with a smaller team on a smaller host), and the suite is
+skipped with a warning instead of gated: a 2x "regression" that is
+really a host change must not page anyone, and a scalar or small-host
+baseline must not mask a real regression.
 
 Usage:
     python3 tools/bench_compare.py \
@@ -49,6 +51,10 @@ import sys
 from pathlib import Path
 
 SCHEMA_VERSION = 1
+
+# Meta keys that must agree between baseline and current run for a
+# suite's timings to be comparable.
+HOST_META_KEYS = ("simd_isa", "nproc")
 
 
 class BenchError(Exception):
@@ -109,7 +115,7 @@ def load_meta(path: Path) -> dict[str, str]:
 
     Meta is optional and free-form string-to-string; anything else is a
     schema error so a half-written block cannot silently disable the
-    ISA gate.
+    host gate.
     """
     try:
         doc = json.loads(path.read_text())
@@ -192,14 +198,20 @@ def compare_dirs(
                 f"{current_path}: missing — the bench run did not produce "
                 f"this suite"
             )
-        base_isa = load_meta(baseline_path).get("simd_isa")
-        cur_isa = load_meta(current_path).get("simd_isa")
-        if base_isa != cur_isa:
+        base_meta = load_meta(baseline_path)
+        cur_meta = load_meta(current_path)
+        mismatch = next(
+            (key for key in HOST_META_KEYS
+             if base_meta.get(key) != cur_meta.get(key)),
+            None,
+        )
+        if mismatch is not None:
             print(
-                f"WARN  {baseline_path.name}: simd_isa mismatch "
-                f"(baseline {base_isa or 'unrecorded'}, current "
-                f"{cur_isa or 'unrecorded'}) — timings from different "
-                f"vector backends are not comparable; suite skipped",
+                f"WARN  {baseline_path.name}: {mismatch} mismatch "
+                f"(baseline {base_meta.get(mismatch) or 'unrecorded'}, "
+                f"current {cur_meta.get(mismatch) or 'unrecorded'}) — "
+                f"timings from different hosts are not comparable; "
+                f"suite skipped",
                 file=out,
             )
             continue

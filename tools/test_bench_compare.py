@@ -228,6 +228,46 @@ class BenchCompareTest(unittest.TestCase):
         self.assertFalse(ok)
         self.assertIn("FAIL", out.getvalue())
 
+    def test_nproc_mismatch_warns_and_skips_the_suite(self):
+        # A 4-core baseline vs a 2-core run: a thread-scaling entry
+        # trains with a smaller team, which is a host change, not a
+        # regression — warn, skip, stay green.
+        write_suite(
+            self.baseline_dir / "BENCH_walk.json", self.baseline,
+            meta={"simd_isa": "avx2", "nproc": "4"},
+        )
+        write_suite(
+            self.current_dir / "BENCH_walk.json",
+            {name: s * 2.0 for name, s in self.baseline.items()},
+            meta={"simd_isa": "avx2", "nproc": "2"},
+        )
+        out = io.StringIO()
+        ok = bench_compare.compare_dirs(
+            self.baseline_dir, self.current_dir,
+            fail_threshold=0.15, warn_threshold=0.05, out=out,
+        )
+        self.assertTrue(ok)
+        self.assertIn("nproc mismatch", out.getvalue())
+        self.assertNotIn("FAIL", out.getvalue())
+
+    def test_matching_nproc_still_gates(self):
+        write_suite(
+            self.baseline_dir / "BENCH_walk.json", self.baseline,
+            meta={"nproc": "4"},
+        )
+        write_suite(
+            self.current_dir / "BENCH_walk.json",
+            {name: s * 1.30 for name, s in self.baseline.items()},
+            meta={"nproc": "4"},
+        )
+        out = io.StringIO()
+        ok = bench_compare.compare_dirs(
+            self.baseline_dir, self.current_dir,
+            fail_threshold=0.15, warn_threshold=0.05, out=out,
+        )
+        self.assertFalse(ok)
+        self.assertIn("FAIL", out.getvalue())
+
     def test_malformed_meta_is_a_schema_error(self):
         write_suite(
             self.current_dir / "BENCH_walk.json", dict(self.baseline)
