@@ -9,10 +9,11 @@
 /// the paper 124.2x over no batching *without accuracy loss* (updates
 /// are sparse, so concurrent staleness rarely collides).
 ///
-/// This harness runs the batched trainer (the CPU model of that GPU
-/// execution: one parallel region per batch, barrier between batches)
-/// across batch sizes and reports time, speedup over batch=1, and the
-/// downstream link-prediction AUC as the accuracy check.
+/// This harness runs train_sgns with a set round size (the CPU model of
+/// that GPU execution: the team trains a round of B sentences with
+/// stale reads, then meets at a barrier) across batch sizes and reports
+/// time, speedup over batch=1, and the downstream link-prediction AUC
+/// as the accuracy check.
 #include "tgl/tgl.hpp"
 
 #include <cstdio>
@@ -57,13 +58,13 @@ main(int argc, char** argv)
         const std::size_t batch_sizes[] = {1, 16, 256, 4096, 16384};
         double baseline_seconds = 0.0;
         for (const std::size_t batch : batch_sizes) {
-            embed::BatchedSgnsConfig config;
-            config.sgns.dim = 8;
-            config.sgns.epochs = 6;
-            config.sgns.seed = seed;
-            config.batch_size = batch;
+            embed::SgnsConfig config;
+            config.dim = 8;
+            config.epochs = 6;
+            config.seed = seed;
+            config.batch_sentences = batch;
             embed::TrainStats stats;
-            const embed::Embedding embedding = embed::train_sgns_batched(
+            const embed::Embedding embedding = embed::train_sgns(
                 corpus, graph.num_nodes(), config, &stats);
             if (batch == 1) {
                 baseline_seconds = stats.seconds;

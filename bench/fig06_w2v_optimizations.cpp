@@ -13,7 +13,8 @@
 ///
 /// CPU model mapping (see DESIGN.md): padding = row_stride 16 vs 8;
 /// Coalesce+Par-red = vectorized contiguous inner loops vs forced
-/// scalar; batching = parallel region per batch vs per sentence.
+/// scalar; batching = rounds of 16384 sentences vs one sentence per
+/// round (SgnsConfig::batch_sentences).
 /// Coalesce and Par-red collapse into one toggle here because on a CPU
 /// both manifest as SIMD over the dimension.
 #include "tgl/tgl.hpp"
@@ -70,15 +71,15 @@ main(int argc, char** argv)
 
         double baseline_seconds = 0.0;
         for (const Step& step : steps) {
-            embed::BatchedSgnsConfig config;
-            config.sgns.dim = 8;
-            config.sgns.epochs = 6;
-            config.sgns.seed = seed;
-            config.sgns.row_stride = step.stride;
-            config.sgns.vectorized = step.vectorized;
-            config.batch_size = step.batch;
+            embed::SgnsConfig config;
+            config.dim = 8;
+            config.epochs = 6;
+            config.seed = seed;
+            config.row_stride = step.stride;
+            config.vectorized = step.vectorized;
+            config.batch_sentences = step.batch;
             embed::TrainStats stats;
-            const embed::Embedding embedding = embed::train_sgns_batched(
+            const embed::Embedding embedding = embed::train_sgns(
                 corpus, graph.num_nodes(), config, &stats);
             if (baseline_seconds == 0.0) {
                 baseline_seconds = stats.seconds;

@@ -155,16 +155,15 @@ main(int argc, char** argv)
 
         // The batched execution model (the paper's GPU point).
         {
-            embed::BatchedSgnsConfig config;
-            config.sgns.dim = 8;
-            config.sgns.epochs = 1;
-            config.sgns.seed = seed;
-            config.batch_size = 16384;
+            embed::SgnsConfig config;
+            config.dim = 8;
+            config.epochs = 1;
+            config.seed = seed;
+            config.batch_sentences = embed::kPaperBatchSentences;
             embed::TrainStats stats;
             const obs::PerfSample sgns_before =
                 obs::perf_phase_total("sgns");
-            embed::train_sgns_batched(corpus, graph.num_nodes(), config,
-                                      &stats);
+            embed::train_sgns(corpus, graph.num_nodes(), config, &stats);
             const obs::PerfSample sgns_delta =
                 obs::perf_phase_total("sgns") - sgns_before;
             if (measured) {

@@ -1,11 +1,13 @@
 /// @file
-/// Micro-benchmarks of the SGNS trainers: Hogwild vs batched, padding
-/// and vectorization knobs, dimension sweep. Items = training pairs.
+/// Micro-benchmarks of the SGNS trainer: automatic vs set (batched)
+/// round sizes, padding and vectorization knobs, dimension sweep.
+/// Items = training pairs.
 ///
 /// After the google-benchmark suite, two comparison harnesses run:
-/// the trainer comparison (Hogwild vs batched plus the negative-table
-/// samplers, and the Hogwild 1/2/4-thread axis at d = 8 in ns per
-/// pair, best-of-3, BENCH_w2v.json with an `nproc` meta key) and the kernel-backend A/B
+/// the trainer comparison (automatic vs 16384-sentence rounds plus the
+/// negative-table draw rate, and the 1/2/4-thread axis at d = 8 in ns
+/// per pair, best-of-3, BENCH_w2v.json with an `nproc` meta key) and
+/// the kernel-backend A/B
 /// (scalar vs simd single-pair update loop, cache-hot, per dim
 /// 8/32/128, BENCH_w2v_kernels.json with a `simd_isa` meta key so the
 /// regression gate skips cross-ISA comparisons) — see bench_json.hpp
@@ -107,21 +109,22 @@ BENCHMARK(BM_HogwildTrain)
 
 void
 run_batched(benchmark::State& state, std::size_t batch, unsigned stride,
-            bool vectorized)
+            bool vectorized, bool shared_negatives = false)
 {
     const walk::Corpus& corpus = shared_corpus();
     const graph::NodeId nodes = max_node_plus_one(corpus);
-    embed::BatchedSgnsConfig config;
-    config.sgns.dim = 8;
-    config.sgns.epochs = 1;
-    config.sgns.row_stride = stride;
-    config.sgns.vectorized = vectorized;
-    config.batch_size = batch;
+    embed::SgnsConfig config;
+    config.dim = 8;
+    config.epochs = 1;
+    config.row_stride = stride;
+    config.vectorized = vectorized;
+    config.batch_sentences = batch;
+    config.shared_negatives = shared_negatives;
     std::uint64_t pairs = 0;
     for (auto _ : state) {
         embed::TrainStats stats;
         benchmark::DoNotOptimize(
-            embed::train_sgns_batched(corpus, nodes, config, &stats));
+            embed::train_sgns(corpus, nodes, config, &stats));
         pairs += stats.pairs_trained;
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(pairs));
@@ -161,21 +164,7 @@ BM_BatchedScalar(benchmark::State& state)
 void
 BM_BatchedSharedNegatives(benchmark::State& state)
 {
-    const walk::Corpus& corpus = shared_corpus();
-    const graph::NodeId nodes = max_node_plus_one(corpus);
-    embed::BatchedSgnsConfig config;
-    config.sgns.dim = 8;
-    config.sgns.epochs = 1;
-    config.batch_size = 16384;
-    config.shared_negatives = true;
-    std::uint64_t pairs = 0;
-    for (auto _ : state) {
-        embed::TrainStats stats;
-        benchmark::DoNotOptimize(
-            embed::train_sgns_batched(corpus, nodes, config, &stats));
-        pairs += stats.pairs_trained;
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(pairs));
+    run_batched(state, 16384, 0, true, true);
 }
 
 BENCHMARK(BM_BatchedPadded)->Unit(benchmark::kMillisecond);
@@ -187,23 +176,7 @@ void
 BM_NegativeTableAlias(benchmark::State& state)
 {
     const embed::Vocab vocab(shared_corpus());
-    const embed::NegativeTable table(vocab,
-                                     embed::NegativeTableKind::kAlias);
-    rng::Random random(3);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(table.sample(random));
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()));
-}
-
-void
-BM_NegativeTableArray(benchmark::State& state)
-{
-    const embed::Vocab vocab(shared_corpus());
-    const embed::NegativeTable table(vocab,
-                                     embed::NegativeTableKind::kArray,
-                                     1 << 22);
+    const embed::NegativeTable table(vocab);
     rng::Random random(3);
     for (auto _ : state) {
         benchmark::DoNotOptimize(table.sample(random));
@@ -213,7 +186,6 @@ BM_NegativeTableArray(benchmark::State& state)
 }
 
 BENCHMARK(BM_NegativeTableAlias);
-BENCHMARK(BM_NegativeTableArray);
 
 /// Best-of-N wall time of one full trainer run; returns the pairs
 /// trained in the fastest rep via @p pairs so rates use real work.
@@ -237,8 +209,8 @@ time_trainer(TrainFn&& train, std::uint64_t* pairs)
     return best;
 }
 
-/// Hogwild vs batched trainer and alias vs array negative-table
-/// draws, written to BENCH_w2v.json for the CI regression gate.
+/// Automatic vs 16384-sentence rounds and the negative-table draw
+/// rate, written to BENCH_w2v.json for the CI regression gate.
 void
 run_trainer_comparison()
 {
@@ -255,22 +227,20 @@ run_trainer_comparison()
         },
         &hogwild_pairs);
 
-    embed::BatchedSgnsConfig batched;
-    batched.sgns = hogwild;
-    batched.batch_size = 16384;
+    embed::SgnsConfig batched = hogwild;
+    batched.batch_sentences = embed::kPaperBatchSentences;
     std::uint64_t batched_pairs = 0;
     const double batched_s = time_trainer(
         [&](embed::TrainStats& stats) {
-            return embed::train_sgns_batched(corpus, nodes, batched,
-                                             &stats);
+            return embed::train_sgns(corpus, nodes, batched, &stats);
         },
         &batched_pairs);
 
     // Negative-table draw rate: fixed draw count, best-of-3.
     const embed::Vocab vocab(corpus);
     constexpr std::uint64_t kDraws = 1u << 22;
-    const auto time_table = [&](embed::NegativeTableKind kind) {
-        const embed::NegativeTable table(vocab, kind, 1 << 22);
+    const auto time_table = [&] {
+        const embed::NegativeTable table(vocab);
         double best = 1e300;
         for (int rep = 0; rep < 3; ++rep) {
             rng::Random random(3);
@@ -285,8 +255,7 @@ run_trainer_comparison()
         }
         return best;
     };
-    const double alias_s = time_table(embed::NegativeTableKind::kAlias);
-    const double array_s = time_table(embed::NegativeTableKind::kArray);
+    const double alias_s = time_table();
 
     std::vector<bench::BenchEntry> entries;
     entries.push_back(
@@ -299,19 +268,16 @@ run_trainer_comparison()
         {"w2v/batched", batched_s,
          batched_s > 0.0 ? batched_pairs / batched_s : 0.0,
          {{"pairs", static_cast<double>(batched_pairs)},
-          {"batch_size", static_cast<double>(batched.batch_size)}}});
+          {"batch_sentences",
+           static_cast<double>(batched.batch_sentences)}}});
     entries.push_back({"w2v/negative_alias", alias_s,
                        alias_s > 0.0 ? kDraws / alias_s : 0.0,
-                       {{"draws", static_cast<double>(kDraws)}}});
-    entries.push_back({"w2v/negative_array", array_s,
-                       array_s > 0.0 ? kDraws / array_s : 0.0,
                        {{"draws", static_cast<double>(kDraws)}}});
 
     std::printf("\n--- SGNS trainer comparison (dim %u, %u epochs) ---\n",
                 hogwild.dim, hogwild.epochs);
-    std::printf("hogwild %8.4fs | batched %8.4fs | neg alias %8.4fs | "
-                "neg array %8.4fs\n",
-                hogwild_s, batched_s, alias_s, array_s);
+    std::printf("hogwild %8.4fs | batched %8.4fs | neg alias %8.4fs\n",
+                hogwild_s, batched_s, alias_s);
 
     // Thread scaling at the paper's d = 8 on the lp-email corpus shape:
     // wall and process-CPU ns per pair of the fastest of 3 reps. CPU

@@ -117,8 +117,7 @@ main(int argc, char** argv)
             const core::PipelineResult cpu =
                 core::run_link_prediction_pipeline(edges, config);
 
-            config.w2v_mode = core::W2vMode::kBatched;
-            config.w2v_batch_size = 16384;
+            config.sgns.batch_sentences = embed::kPaperBatchSentences;
             const core::PipelineResult batched =
                 core::run_link_prediction_pipeline(edges, config);
 

@@ -33,7 +33,8 @@ main(int argc, char** argv)
     cli.add_flag("threads", "0", "worker threads (0 = hardware)");
     cli.add_flag("seed", "42", "random seed");
     cli.add_switch("batched-w2v",
-                   "use the batched (GPU-model) word2vec execution");
+                   "train word2vec in rounds of 16384 sentences (the "
+                   "paper's GPU batch)");
     cli.add_flag("save-embeddings", "", "write embeddings to this path");
 
     try {
@@ -80,7 +81,7 @@ main(int argc, char** argv)
         config.classifier.max_epochs =
             static_cast<unsigned>(cli.get_int("epochs"));
         if (cli.get_switch("batched-w2v")) {
-            config.w2v_mode = core::W2vMode::kBatched;
+            config.sgns.batch_sentences = embed::kPaperBatchSentences;
         }
 
         const core::PipelineResult result =

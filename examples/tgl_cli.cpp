@@ -244,7 +244,9 @@ cmd_embed(int argc, const char* const* argv)
     cli.add_flag("seed", "1", "random seed");
     cli.add_flag("sgns-backend", "auto",
                  "SGNS kernel backend: auto | scalar | simd");
-    cli.add_switch("batched", "use the batched (GPU-model) trainer");
+    cli.add_switch("batched",
+                   "train in rounds of 16384 sentences (the paper's GPU "
+                   "batch)");
     if (!cli.parse(argc, argv)) {
         return 0;
     }
@@ -283,16 +285,13 @@ cmd_embed(int argc, const char* const* argv)
         util::fatal("--sgns-backend expects auto | scalar | simd");
     }
 
-    embed::TrainStats stats;
-    embed::Embedding embedding;
     if (cli.get_switch("batched")) {
-        embed::BatchedSgnsConfig batched;
-        batched.sgns = sgns;
-        embedding = embed::train_sgns_batched(corpus, num_nodes, batched,
-                                              &stats);
-    } else {
-        embedding = embed::train_sgns(corpus, num_nodes, sgns, &stats);
+        sgns.batch_sentences = embed::kPaperBatchSentences;
     }
+
+    embed::TrainStats stats;
+    const embed::Embedding embedding =
+        embed::train_sgns(corpus, num_nodes, sgns, &stats);
     embedding.save_file(cli.get_string("out"));
     std::printf("trained %u-d embeddings for %u nodes (%llu pairs, "
                 "%.2fs) -> %s\n",
@@ -455,7 +454,9 @@ cmd_pipeline(int argc, const char* const* argv)
                  "checkpoint instead of hanging");
     cli.add_flag("sgns-backend", "auto",
                  "SGNS kernel backend: auto | scalar | simd");
-    cli.add_switch("batched", "use the batched (GPU-model) trainer");
+    cli.add_switch("batched",
+                   "train in rounds of 16384 sentences (the paper's GPU "
+                   "batch)");
     if (!cli.parse(argc, argv)) {
         return 0;
     }
@@ -481,7 +482,7 @@ cmd_pipeline(int argc, const char* const* argv)
         util::fatal("--sgns-backend expects auto | scalar | simd");
     }
     if (cli.get_switch("batched")) {
-        config.w2v_mode = core::W2vMode::kBatched;
+        config.sgns.batch_sentences = embed::kPaperBatchSentences;
     }
     if (const auto mode =
             core::parse_overlap_mode(cli.get_string("overlap"))) {

@@ -79,17 +79,24 @@ mix_config(util::Fingerprint& fp, const embed::SgnsConfig& config)
     fp.mix(config.subsample);
     fp.mix(config.seed);
     fp.mix(config.row_stride);
+    // A set round size and shared negative pools change the update
+    // order and the negatives drawn. The automatic round mixes nothing,
+    // so its fingerprints stay those of earlier releases.
+    if (config.batch_sentences != 0 || config.shared_negatives) {
+        fp.mix(std::string_view("sgns-rounds"));
+        fp.mix(static_cast<std::uint64_t>(config.batch_sentences));
+        fp.mix(static_cast<std::uint8_t>(config.shared_negatives));
+    }
     // num_threads is mixed because multi-threaded training depends on
     // the team size (a round is a fixed number of sentences per
     // thread) and on thread interleaving through the shared input
     // matrix; only one thread reproduces bit for bit.
     fp.mix(config.num_threads);
-    // Teams train private output copies merged at round boundaries
-    // (train_sgns) or launch ends (batched trainer), a different
-    // algorithm from the earlier shared-matrix Hogwild loops; the tag
-    // keeps an embedding trained by those loops from resuming as this
-    // one. One thread runs the same loop as before, so its fingerprint
-    // stays unchanged.
+    // Teams train private output copies merged at round boundaries, a
+    // different algorithm from the earlier shared-matrix Hogwild loops;
+    // the tag keeps an embedding trained by those loops from resuming
+    // as this one. One thread runs the same loop as before, so its
+    // fingerprint stays unchanged.
     if (config.num_threads != 1) {
         fp.mix(std::string_view("sgns-round-merge"));
     }

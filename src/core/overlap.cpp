@@ -36,11 +36,6 @@ plan_overlap(const graph::TemporalGraph& graph,
 
     // Compatibility gates. PipelineConfig::validate() rejects these
     // combinations for kOn up front; kAuto silently falls back.
-    if (config.w2v_mode != W2vMode::kHogwild) {
-        plan.decision = "off: batched word2vec cannot consume a shard "
-                        "stream";
-        return plan;
-    }
     const std::vector<std::string> unsupported =
         embed::streaming_unsupported(config.sgns);
     if (!unsupported.empty()) {

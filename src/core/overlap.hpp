@@ -26,7 +26,7 @@ struct OverlapPlan
 {
     bool enabled = false;
     /// Human-readable decision trace ("auto: walk/w2v estimates within
-    /// 4x", "off: batched word2vec", ...).
+    /// 4x", "off: min_count > 1 ...", ...).
     std::string decision;
     std::size_t num_shards = 0;
     unsigned producer_threads = 0;

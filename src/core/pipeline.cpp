@@ -32,10 +32,6 @@ PipelineConfig::validate() const
     collect("sgns", sgns.validate());
     collect("split", split.validate());
     collect("classifier", classifier.validate());
-    if (w2v_mode == W2vMode::kBatched && w2v_batch_size == 0) {
-        problems.push_back(
-            "w2v_batch_size must be >= 1 in batched word2vec mode");
-    }
     if (!(watchdog_timeout_seconds >= 0.0) ||
         !std::isfinite(watchdog_timeout_seconds)) {
         problems.push_back(
@@ -44,11 +40,6 @@ PipelineConfig::validate() const
     if (overlap == OverlapMode::kOn) {
         // kAuto degrades to sequential on these; an explicit kOn is a
         // configuration error.
-        if (w2v_mode != W2vMode::kHogwild) {
-            problems.push_back(
-                "overlap=on requires the Hogwild word2vec mode (the "
-                "batched trainer consumes the whole corpus at once)");
-        }
         for (const std::string& problem :
              embed::streaming_unsupported(sgns)) {
             problems.push_back("overlap=on is unsupported: " + problem);
@@ -167,10 +158,6 @@ compute_fingerprints(const graph::EdgeList& edges,
     util::Fingerprint embed_fp;
     embed_fp.mix(walk_fp.value());
     mix_config(embed_fp, config.sgns);
-    embed_fp.mix(static_cast<std::uint32_t>(config.w2v_mode));
-    if (config.w2v_mode == W2vMode::kBatched) {
-        embed_fp.mix(static_cast<std::uint64_t>(config.w2v_batch_size));
-    }
     return {walk_fp.value(), embed_fp.value(), cache_fp.value()};
 }
 
@@ -305,16 +292,8 @@ run_front_end(const graph::EdgeList& edges, const PipelineConfig& config,
     timer.reset();
     phase_begin = phase_now();
     const obs::PerfSample sgns_before = obs::perf_phase_total("sgns");
-    if (config.w2v_mode == W2vMode::kHogwild) {
-        embedding = embed::train_sgns(corpus, graph.num_nodes(),
-                                      config.sgns, &result.w2v_stats);
-    } else {
-        embed::BatchedSgnsConfig batched;
-        batched.sgns = config.sgns;
-        batched.batch_size = config.w2v_batch_size;
-        embedding = embed::train_sgns_batched(
-            corpus, graph.num_nodes(), batched, &result.w2v_stats);
-    }
+    embedding = embed::train_sgns(corpus, graph.num_nodes(), config.sgns,
+                                  &result.w2v_stats);
     if (checkpoints != nullptr) {
         checkpoints->store_embedding(fingerprints.embed, embedding);
         result.checkpoints.embedding_stored = true;

@@ -7,7 +7,6 @@
 #include "core/checkpoint.hpp"
 #include "core/link_prediction.hpp"
 #include "core/node_classification.hpp"
-#include "embed/batched_trainer.hpp"
 #include "embed/trainer.hpp"
 #include "gen/catalog.hpp"
 #include "walk/engine.hpp"
@@ -17,13 +16,6 @@
 #include <string_view>
 
 namespace tgl::core {
-
-/// Which word2vec execution mode the pipeline uses.
-enum class W2vMode
-{
-    kHogwild, ///< the paper's CPU implementation
-    kBatched, ///< the paper's GPU execution model (see batched_trainer)
-};
 
 /// Whether the walk and word2vec phases run overlapped (sharded walk
 /// producers feeding the streaming Hogwild trainer, core/overlap.hpp)
@@ -61,8 +53,6 @@ struct PipelineConfig
 {
     walk::WalkConfig walk;
     embed::SgnsConfig sgns;
-    W2vMode w2v_mode = W2vMode::kHogwild;
-    std::size_t w2v_batch_size = 16384; ///< used in kBatched mode
     SplitConfig split;
     ClassifierConfig classifier;
     bool symmetrize_graph = true;

@@ -1,10 +1,7 @@
 /// @file
 /// Negative-sampling distribution: unigram frequency raised to 3/4,
-/// the standard word2vec choice. Two implementations:
-///  * kAlias — exact Walker alias table, O(1) per draw (default);
-///  * kArray — the original word2vec quantized array table, kept for
-///    fidelity to the reference implementation and for the sampling
-///    ablation bench (it trades memory for a slightly cheaper draw).
+/// the standard word2vec choice, drawn from an exact Walker alias
+/// table in O(1) per draw.
 #pragma once
 
 #include "embed/vocab.hpp"
@@ -15,9 +12,6 @@
 
 namespace tgl::embed {
 
-/// How the negative table is materialized.
-enum class NegativeTableKind { kAlias, kArray };
-
 /// Draws negative words ~ count^0.75.
 class NegativeTable
 {
@@ -25,49 +19,29 @@ class NegativeTable
     NegativeTable() = default;
 
     /// Build from a vocabulary.
-    /// @param array_size quantization size for kArray (word2vec's 1e8
-    ///        default scaled down; ignored for kAlias)
-    explicit NegativeTable(const Vocab& vocab,
-                           NegativeTableKind kind = NegativeTableKind::kAlias,
-                           std::size_t array_size = 1 << 22);
+    explicit NegativeTable(const Vocab& vocab);
 
     /// Build from raw occurrence counts indexed by word id (count^0.75
     /// weighting, like the vocab constructor). Words with zero count
-    /// get zero probability; at least one count must be positive. The
-    /// streaming trainer uses this with node ids as word ids, where
-    /// exact counts are accumulated shard-by-shard and no Vocab is ever
-    /// materialized.
-    explicit NegativeTable(const std::vector<std::uint64_t>& counts,
-                           NegativeTableKind kind = NegativeTableKind::kAlias,
-                           std::size_t array_size = 1 << 22);
+    /// get zero probability; at least one count must be positive.
+    explicit NegativeTable(const std::vector<std::uint64_t>& counts);
 
     /// Build from explicit sampling weights (used verbatim — the caller
     /// applies any exponent). The streaming trainer's epoch-0 prior,
     /// (out_degree+1)^0.75 from the CSR, enters through here.
-    explicit NegativeTable(const std::vector<double>& weights,
-                           NegativeTableKind kind = NegativeTableKind::kAlias,
-                           std::size_t array_size = 1 << 22);
+    explicit NegativeTable(const std::vector<double>& weights);
 
     /// Draw one negative word.
-    WordId
-    sample(rng::Random& random) const
+    WordId sample(rng::Random& random) const { return alias_.sample(random); }
+
+    /// Probability of word w.
+    double probability(WordId w) const
     {
-        if (kind_ == NegativeTableKind::kAlias) {
-            return alias_.sample(random);
-        }
-        return array_[static_cast<std::size_t>(
-            random.next_index(array_.size()))];
+        return alias_.outcome_probability(w);
     }
 
-    NegativeTableKind kind() const { return kind_; }
-
-    /// Exact (alias) or quantized (array) probability of word w.
-    double probability(WordId w) const;
-
   private:
-    NegativeTableKind kind_ = NegativeTableKind::kAlias;
     rng::AliasTable alias_;
-    std::vector<WordId> array_;
 };
 
 } // namespace tgl::embed

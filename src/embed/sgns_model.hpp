@@ -1,6 +1,6 @@
 /// @file
 /// Shared skip-gram-negative-sampling model state and the single-pair
-/// update kernel used by both the Hogwild and the batched trainers.
+/// update kernels of the SGNS trainers.
 #pragma once
 
 #include "embed/embedding.hpp"
@@ -42,6 +42,20 @@ struct SgnsConfig
     std::uint64_t seed = 1;
     /// Team size (0 = default threads).
     unsigned num_threads = 0;
+    /// Sentences per training round: the team trains a round with
+    /// stale reads of each other's output updates and meets at a
+    /// barrier when it ends — the paper's batch of B sentences per GPU
+    /// launch (Fig. 5; 1 models the unbatched baseline, 16384 is its
+    /// best batch). 0 picks the round: min(4096 x team, ceil(N / 8))
+    /// of the N sentences when the team trains private output copies,
+    /// the whole epoch when it shares the matrix (train_sgns).
+    std::size_t batch_sentences = 0;
+    /// Draw one pool of `negatives` words per round and share it across
+    /// every pair of the round instead of drawing per pair (a further
+    /// GPU optimization: the pool's rows stay cache-hot). Correlates
+    /// the negatives within a round; accuracy holds while rounds are
+    /// small relative to the corpus.
+    bool shared_negatives = false;
     /// Row stride in floats; 0 means tightly packed (= dim). The GPU
     /// study's cache-line padding maps to stride = 16 (one 64B line).
     unsigned row_stride = 0;
@@ -102,9 +116,6 @@ class SgnsModel
     /// outside the vocabulary).
     Embedding to_embedding(const Vocab& vocab,
                            graph::NodeId num_nodes) const;
-
-    /// Identity-word-space variant: row w is node w's vector.
-    Embedding to_embedding(graph::NodeId num_nodes) const;
 
     /// True when every parameter is finite — the trainers' per-epoch
     /// divergence screen (a too-large alpha drives Hogwild updates to
@@ -200,7 +211,7 @@ void sgns_update_pair(SgnsModel& model, float* output, WordId context,
                       rng::Random& random, float* scratch);
 
 /// Variant taking pre-sampled negatives (the shared-negative-sampling
-/// GPU optimization: one negative pool drawn per batch and reused by
+/// GPU optimization: one negative pool drawn per round and reused by
 /// every pair, replacing per-pair table draws with reads of rows that
 /// are already cache-hot).
 void sgns_update_pair_shared(SgnsModel& model, float* output,

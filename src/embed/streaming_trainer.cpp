@@ -1,12 +1,10 @@
 #include "embed/streaming_trainer.hpp"
 
-#include "obs/metrics.hpp"
 #include "obs/perf_events.hpp"
 #include "obs/trace.hpp"
 #include "rng/splitmix64.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
-#include "util/parallel_for.hpp"
 #include "util/timer.hpp"
 
 #include <algorithm>
@@ -19,9 +17,9 @@ namespace tgl::embed {
 
 namespace {
 
-/// Epoch-0 sentences draw from a stream tag distinct from the replay
-/// epochs so no (epoch, sentence) stream is ever reused across the two
-/// schedules.
+/// Epoch-0 sentences draw from a stream tag distinct from the round
+/// loop's later epochs so no (epoch, sentence) stream is ever reused
+/// across the two schedules.
 constexpr std::uint64_t kStreamTag = 0xA5F152ED0C0FFEE1ULL;
 
 /// train_sentence (trainer.cpp) minus the vocab mapping: with word id
@@ -85,6 +83,12 @@ streaming_unsupported(const SgnsConfig& config)
             "subsample needs global word frequencies before the first "
             "update");
     }
+    if (config.batch_sentences != 0 || config.shared_negatives) {
+        problems.push_back(
+            "batch_sentences and shared_negatives set rounds of the "
+            "whole corpus, which the streaming epoch trains shard by "
+            "shard");
+    }
     return problems;
 }
 
@@ -131,6 +135,10 @@ train_sgns_streaming(util::ShardQueue<walk::CorpusShard>& queue,
 
     std::atomic<std::uint64_t> tokens_done{0};
     std::atomic<std::uint64_t> total_pairs{0};
+    // Each consumer's last rate; alpha only decays, so the smallest is
+    // the last one applied.
+    std::vector<float> last_alphas(std::max(1u, streaming.consumer_threads),
+                                   config.alpha);
     // Exact per-node occurrence counts, accumulated as shards arrive —
     // the input of the exact unigram^0.75 rebuild before epoch 1.
     std::vector<std::atomic<std::uint64_t>> counts(num_nodes);
@@ -143,7 +151,7 @@ train_sgns_streaming(util::ShardQueue<walk::CorpusShard>& queue,
     walk::Corpus corpus;
     std::size_t next_shard = 0;
 
-    const unsigned consumers = std::max(1u, streaming.consumer_threads);
+    const unsigned consumers = static_cast<unsigned>(last_alphas.size());
     RankBuffers consumer_scratch(consumers, config.dim);
     const auto consume = [&](unsigned rank) {
         // Consumers are plain threads (not pool workers), so each
@@ -151,6 +159,7 @@ train_sgns_streaming(util::ShardQueue<walk::CorpusShard>& queue,
         obs::PerfScope perf_scope("sgns");
         float* scratch = consumer_scratch[rank];
         std::uint64_t pairs = 0;
+        float last_alpha = config.alpha;
         while (std::optional<walk::CorpusShard> shard = queue.pop()) {
             const obs::Span shard_span("overlap.train.shard");
             const walk::Corpus& walks = shard->walks;
@@ -163,6 +172,7 @@ train_sgns_streaming(util::ShardQueue<walk::CorpusShard>& queue,
                     config,
                     tokens_done.load(std::memory_order_relaxed),
                     estimated_total);
+                last_alpha = alpha;
                 rng::Random random(rng::mix_seed(
                     rng::mix_seed(config.seed ^ kStreamTag, shard->index),
                     s));
@@ -182,6 +192,7 @@ train_sgns_streaming(util::ShardQueue<walk::CorpusShard>& queue,
             }
         }
         total_pairs.fetch_add(pairs, std::memory_order_relaxed);
+        last_alphas[rank] = last_alpha;
     };
 
     {
@@ -219,86 +230,30 @@ train_sgns_streaming(util::ShardQueue<walk::CorpusShard>& queue,
             counts[node].load(std::memory_order_relaxed);
     }
 
-    // Epochs >= 1: the sequential trainer's replay loop with the exact
-    // rebuilt table and exact alpha-schedule totals.
+    // Epochs >= 1: train_sgns's round loop over the assembled corpus,
+    // in the identity word space with the exact rebuilt table.
+    const Vocab vocab = Vocab::identity(exact_counts);
+    SgnsRounds rounds;
     if (config.epochs > 1) {
-        const NegativeTable exact(exact_counts);
-        const std::size_t num_sentences = corpus.num_walks();
-        const std::uint64_t exact_total =
-            static_cast<std::uint64_t>(corpus.num_tokens()) *
-            config.epochs;
-
-        const unsigned max_team = config.num_threads
-                                      ? config.num_threads
-                                      : util::default_threads();
-        struct alignas(kCacheLineBytes) RankState
-        {
-            std::uint64_t pairs = 0;
-        };
-        std::vector<RankState> ranks(max_team);
-        RankBuffers scratch(max_team, config.dim);
-
-        obs::PerfRankScopes perf_scopes("sgns", max_team);
-
-        for (unsigned epoch = 1; epoch < config.epochs; ++epoch) {
-            const obs::Span epoch_span("sgns.epoch");
-            util::parallel_for_ranked(
-                0, num_sentences,
-                [&](std::size_t s, unsigned rank) {
-                    perf_scopes.ensure(rank);
-                    RankState& state = ranks[rank];
-                    const auto sentence = corpus.walk(s);
-                    const float alpha = decayed_alpha(
-                        config,
-                        tokens_done.load(std::memory_order_relaxed),
-                        exact_total);
-                    rng::Random random(rng::mix_seed(
-                        config.seed,
-                        static_cast<std::uint64_t>(epoch) *
-                                num_sentences +
-                            s));
-                    train_identity_sentence(model, exact, config, ops,
-                                            sentence, alpha, random,
-                                            scratch[rank], state.pairs);
-                    tokens_done.fetch_add(sentence.size(),
-                                          std::memory_order_relaxed);
-                },
-                {.num_threads = config.num_threads, .grain = 64});
-
-            if (!model.all_finite()) {
-                util::fatal(util::strcat(
-                    "train_sgns_streaming: non-finite model weights "
-                    "after epoch ",
-                    epoch + 1, " of ", config.epochs,
-                    " — training diverged (alpha = ", config.alpha,
-                    ")"));
-            }
-        }
-        for (RankState& state : ranks) {
-            total_pairs.fetch_add(state.pairs,
-                                  std::memory_order_relaxed);
-        }
+        rounds = train_sgns_epochs(model, vocab, NegativeTable(vocab),
+                                   corpus, num_nodes, config, 1);
+    } else {
+        rounds.embedding = model.to_embedding(vocab, num_nodes);
+        rounds.last_alpha =
+            *std::min_element(last_alphas.begin(), last_alphas.end());
     }
-
-    const std::uint64_t pairs = total_pairs.load();
-    const std::uint64_t tokens =
-        tokens_done.load(std::memory_order_relaxed);
-    const double seconds = timer.seconds();
-    obs::Registry& registry = obs::Registry::global();
-    registry.counter("sgns.pairs").add(pairs);
-    registry.counter("sgns.tokens").add(tokens);
-    registry.counter("sgns.epochs").add(config.epochs);
-    registry.gauge("sgns.alpha").set(static_cast<double>(config.alpha));
-    registry.gauge("sgns.pairs_per_second")
-        .set(seconds > 0.0 ? static_cast<double>(pairs) / seconds : 0.0);
+    rounds.pairs += total_pairs.load();
 
     StreamingResult result;
-    result.embedding = model.to_embedding(num_nodes);
+    result.stats.pairs_trained = rounds.pairs;
+    result.stats.tokens_processed =
+        tokens_done.load(std::memory_order_relaxed) +
+        corpus.num_tokens() * (config.epochs - 1);
+    result.stats.seconds = timer.seconds();
+    record_sgns_run(config, result.stats, rounds);
+    result.embedding = std::move(rounds.embedding);
     result.corpus = std::move(corpus);
     result.counts = std::move(exact_counts);
-    result.stats.pairs_trained = pairs;
-    result.stats.tokens_processed = tokens;
-    result.stats.seconds = seconds;
     return result;
 }
 

@@ -12,9 +12,9 @@
 /// (out_degree+1)^0.75 — walk visit frequency is degree-biased), while
 /// exact occurrence counts are accumulated as shards stream past; the
 /// exact unigram^0.75 table is rebuilt once before epoch 1 and every
-/// later epoch replays the assembled corpus exactly like the
-/// sequential trainer. A statistical-equivalence test
-/// (tests/test_overlap.cpp) checks the rebuilt table against the
+/// later epoch trains the assembled corpus through the sequential
+/// trainer's round loop (train_sgns_epochs). A statistical-equivalence
+/// test (tests/test_overlap.cpp) checks the rebuilt table against the
 /// sequential path's.
 #pragma once
 
@@ -64,7 +64,7 @@ std::vector<std::string> streaming_unsupported(const SgnsConfig& config);
 /// identity word space). Consumes shards until the queue is closed and
 /// drained; epoch 0 trains each shard as it arrives against
 /// @p prior_weights (indexed by node id, used verbatim), epochs >= 1
-/// replay the assembled corpus against the exact rebuilt table.
+/// train the assembled corpus against the exact rebuilt table.
 ///
 /// @p prior_weights must have one entry per node with at least one
 /// positive weight. Fails (tgl::util::Error) on an unsupported config,

@@ -41,14 +41,20 @@ constexpr std::size_t kMinRoundsPerEpoch = 8;
 /// Sentences claimed per cursor fetch inside a round.
 constexpr std::size_t kGrain = 64;
 
-/// Process every (center, context) pair of one sentence.
+/// Stream tag of the per-round shared negative pools, apart from the
+/// per-sentence streams.
+constexpr std::uint64_t kSharedPoolTag = 0x9e9eULL;
+
+/// Process every (center, context) pair of one sentence. A non-empty
+/// @p shared_pool replaces the per-pair negative draws.
 void
 train_sentence(SgnsModel& model, float* output, const Vocab& vocab,
                const NegativeTable& negatives, const SgnsConfig& config,
                const kernels::SgnsBackendOps& ops,
                std::span<const graph::NodeId> sentence, float alpha,
-               rng::Random& random, std::vector<WordId>& words,
-               float* scratch, std::uint64_t& pairs)
+               rng::Random& random, std::span<const WordId> shared_pool,
+               std::vector<WordId>& words, float* scratch,
+               std::uint64_t& pairs)
 {
     // Map to word ids, applying min-count filtering and optional
     // frequent-word subsampling.
@@ -85,9 +91,15 @@ train_sentence(SgnsModel& model, float* output, const Vocab& vocab,
             if (c == pos) {
                 continue;
             }
-            sgns_update_pair(model, output, words[c], words[pos],
-                             negatives, config.negatives, alpha, ops,
-                             random, scratch);
+            if (shared_pool.empty()) {
+                sgns_update_pair(model, output, words[c], words[pos],
+                                 negatives, config.negatives, alpha, ops,
+                                 random, scratch);
+            } else {
+                sgns_update_pair_shared(model, output, words[c],
+                                        words[pos], shared_pool, alpha,
+                                        ops, scratch);
+            }
             ++pairs;
         }
     }
@@ -161,6 +173,195 @@ merge_output_copies(float* master, std::span<float* const> copies,
     }
 }
 
+SgnsRounds
+train_sgns_epochs(SgnsModel& model, const Vocab& vocab,
+                  const NegativeTable& negatives, const walk::Corpus& corpus,
+                  graph::NodeId num_nodes, const SgnsConfig& config,
+                  unsigned first_epoch)
+{
+    const kernels::SgnsBackendOps& ops = sgns_kernel_ops(config);
+    const std::vector<std::size_t>& offsets = corpus.offsets();
+    const std::size_t num_sentences = corpus.num_walks();
+    const std::uint64_t corpus_tokens = corpus.num_tokens();
+
+    util::ThreadPool& pool = util::ThreadPool::global();
+    const unsigned requested = config.num_threads ? config.num_threads
+                                                  : util::default_threads();
+    const unsigned team = static_cast<unsigned>(std::min<std::size_t>(
+        {requested, pool.size(), num_sentences}));
+
+    // The round a team of copies would train, and whether copies pay
+    // for it: the merge touches every row of every copy, so a round
+    // needs at least as many tokens as the matrix has rows (on the
+    // mean sentence length). Fig. 5's batch sweep puts the crossover
+    // between 0.12 and 1.9 tokens per row (DESIGN.md §13). Each rank
+    // writes the shared output matrix or its private copy; the input
+    // matrix is always shared.
+    const std::size_t copy_round =
+        config.batch_sentences != 0
+            ? std::min(config.batch_sentences, num_sentences)
+            : std::min(kRoundSentencesPerCopy * team,
+                       (num_sentences + kMinRoundsPerEpoch - 1) /
+                           kMinRoundsPerEpoch);
+    const std::size_t matrix_floats = model.matrix_floats();
+    const bool private_copies =
+        corpus_tokens * copy_round >= model.vocab_size() * num_sentences &&
+        use_private_copies(team, matrix_floats * sizeof(float));
+    const std::size_t round_size =
+        config.batch_sentences != 0 || private_copies ? copy_round
+                                                      : num_sentences;
+    RankBuffers copies(private_copies ? team : 0, matrix_floats);
+    std::vector<float*> copy_ptrs;
+    for (unsigned rank = 0; private_copies && rank < team; ++rank) {
+        copy_ptrs.push_back(copies[rank]);
+        std::copy_n(model.output_data(), matrix_floats, copy_ptrs.back());
+    }
+    // Each rank merges one line-aligned slice of the matrix.
+    const std::size_t merge_slice = merge_slice_floats(matrix_floats, team);
+    // Small rounds still spread over the team.
+    const std::size_t grain = std::clamp<std::size_t>(
+        (round_size + team - 1) / team, 1, kGrain);
+
+    struct alignas(kCacheLineBytes) RankState
+    {
+        std::vector<WordId> words;
+        std::vector<WordId> shared_pool;
+        std::uint64_t pairs = 0;
+    };
+    std::vector<RankState> ranks(team);
+    RankBuffers scratch(team, config.dim);
+
+    // One counter scope spanning all epochs: the rank→worker mapping
+    // is stable across dispatches, so each thread's set is opened once
+    // and the close() below aggregates the whole training run.
+    obs::PerfRankScopes perf_scopes("sgns", team);
+
+    for (unsigned epoch = first_epoch; epoch < config.epochs; ++epoch) {
+        util::check_cancellation("the sgns epoch loop");
+        const obs::Span epoch_span("sgns.epoch");
+        const std::uint64_t epoch_stream =
+            static_cast<std::uint64_t>(epoch) * num_sentences;
+        // The barrier's completion opens the next round before it
+        // releases the team.
+        std::atomic<std::size_t> cursor{0};
+        std::size_t next_round = round_size;
+        const auto open_next_round = [&cursor, &next_round,
+                                      round_size]() noexcept {
+            cursor.store(next_round, std::memory_order_relaxed);
+            next_round += round_size;
+        };
+        std::barrier trained(static_cast<std::ptrdiff_t>(team),
+                             open_next_round);
+        std::barrier merged(static_cast<std::ptrdiff_t>(team));
+        pool.run(team, [&](unsigned rank) {
+            perf_scopes.ensure(rank);
+            RankState& state = ranks[rank];
+            float* const output =
+                private_copies ? copy_ptrs[rank] : model.output_data();
+            try {
+                for (std::size_t round_begin = 0;
+                     round_begin < num_sentences;
+                     round_begin += round_size) {
+                    const std::size_t round_end =
+                        std::min(num_sentences, round_begin + round_size);
+                    if (config.shared_negatives) {
+                        // Every rank draws the same pool.
+                        rng::Random pool_random(rng::mix_seed(
+                            config.seed ^ kSharedPoolTag,
+                            epoch_stream + round_begin));
+                        state.shared_pool.resize(config.negatives);
+                        for (WordId& w : state.shared_pool) {
+                            w = negatives.sample(pool_random);
+                        }
+                    }
+                    for (;;) {
+                        const std::size_t chunk = cursor.fetch_add(
+                            grain, std::memory_order_relaxed);
+                        if (chunk >= round_end) {
+                            break;
+                        }
+                        const std::size_t chunk_end =
+                            std::min(chunk + grain, round_end);
+                        for (std::size_t s = chunk; s < chunk_end; ++s) {
+                            rng::Random random(rng::mix_seed(
+                                config.seed, epoch_stream + s));
+                            train_sentence(
+                                model, output, vocab, negatives, config,
+                                ops, corpus.walk(s),
+                                sgns_alpha(config, epoch, offsets[s],
+                                           corpus_tokens),
+                                random, state.shared_pool, state.words,
+                                scratch[rank], state.pairs);
+                        }
+                    }
+                    trained.arrive_and_wait();
+                    if (private_copies) {
+                        const std::size_t begin = std::min(
+                            matrix_floats, rank * merge_slice);
+                        merge_output_copies(
+                            model.output_data(), copy_ptrs, begin,
+                            std::min(matrix_floats, begin + merge_slice));
+                        merged.arrive_and_wait(); // copies hold the merge
+                    }
+                }
+            } catch (...) {
+                // Release the peers still waiting on this rank.
+                trained.arrive_and_drop();
+                merged.arrive_and_drop();
+                throw;
+            }
+        });
+
+        // Divergence screen: a runaway alpha turns the Hogwild updates
+        // into inf/NaN well before training ends; fail with context
+        // instead of emitting a poisoned embedding.
+        if (!model.all_finite()) {
+            util::fatal(util::strcat(
+                "train_sgns: non-finite model weights after epoch ",
+                epoch + 1, " of ", config.epochs,
+                " — training diverged (alpha = ", config.alpha, ")"));
+        }
+    }
+    SgnsRounds rounds;
+    // Copied out while the private copies still hold their memory: an
+    // embedding allocated into the range they free left serve-mixed's
+    // heap fragmented, +3.5 MiB peak RSS on three of ten seeds.
+    rounds.embedding = model.to_embedding(vocab, num_nodes);
+    rounds.perf = perf_scopes.close();
+    for (const RankState& state : ranks) {
+        rounds.pairs += state.pairs;
+    }
+    rounds.last_alpha = sgns_alpha(config, config.epochs - 1,
+                                   offsets[num_sentences - 1],
+                                   corpus_tokens);
+    rounds.replica_bytes = copy_ptrs.size() * matrix_floats * sizeof(float);
+    rounds.merge_rounds =
+        private_copies
+            ? static_cast<std::uint64_t>(config.epochs - first_epoch) *
+                  ((num_sentences + round_size - 1) / round_size)
+            : 0;
+    return rounds;
+}
+
+void
+record_sgns_run(const SgnsConfig& config, const TrainStats& stats,
+                const SgnsRounds& rounds)
+{
+    obs::Registry& registry = obs::Registry::global();
+    registry.counter("sgns.pairs").add(stats.pairs_trained);
+    registry.counter("sgns.tokens").add(stats.tokens_processed);
+    registry.counter("sgns.epochs").add(config.epochs);
+    registry.gauge("sgns.alpha").set(static_cast<double>(rounds.last_alpha));
+    registry.gauge("sgns.replica_bytes")
+        .set(static_cast<double>(rounds.replica_bytes));
+    registry.gauge("sgns.merge_rounds")
+        .set(static_cast<double>(rounds.merge_rounds));
+    registry.gauge("sgns.pairs_per_second")
+        .set(stats.seconds > 0.0
+                 ? static_cast<double>(stats.pairs_trained) / stats.seconds
+                 : 0.0);
+}
+
 Embedding
 train_sgns(const walk::Corpus& corpus, graph::NodeId num_nodes,
            const SgnsConfig& config, TrainStats* stats)
@@ -181,159 +382,21 @@ train_sgns(const walk::Corpus& corpus, graph::NodeId num_nodes,
     }
     const NegativeTable negatives(vocab);
     SgnsModel model(vocab, config);
-    const kernels::SgnsBackendOps& ops = sgns_kernel_ops(config);
+    SgnsRounds rounds = train_sgns_epochs(model, vocab, negatives, corpus,
+                                          num_nodes, config, 0);
 
-    const std::vector<std::size_t>& offsets = corpus.offsets();
-    const std::size_t num_sentences = corpus.num_walks();
-    const std::uint64_t corpus_tokens = corpus.num_tokens();
-
-    util::ThreadPool& pool = util::ThreadPool::global();
-    const unsigned requested = config.num_threads ? config.num_threads
-                                                  : util::default_threads();
-    const unsigned team = static_cast<unsigned>(std::min<std::size_t>(
-        {requested, pool.size(), num_sentences}));
-
-    // Each rank writes the shared output matrix or its private copy;
-    // the input matrix is always shared.
-    const std::size_t matrix_floats = model.matrix_floats();
-    const bool private_copies =
-        use_private_copies(team, matrix_floats * sizeof(float));
-    RankBuffers copies(private_copies ? team : 0, matrix_floats);
-    std::vector<float*> copy_ptrs;
-    for (unsigned rank = 0; private_copies && rank < team; ++rank) {
-        copy_ptrs.push_back(copies[rank]);
-        std::copy_n(model.output_data(), matrix_floats, copy_ptrs.back());
-    }
-    const std::size_t round_size =
-        private_copies
-            ? std::min(kRoundSentencesPerCopy * team,
-                       (num_sentences + kMinRoundsPerEpoch - 1) /
-                           kMinRoundsPerEpoch)
-            : num_sentences;
-    // Each rank merges one line-aligned slice of the matrix.
-    const std::size_t merge_slice = merge_slice_floats(matrix_floats, team);
-
-    struct alignas(kCacheLineBytes) RankState
-    {
-        std::vector<WordId> words;
-        std::uint64_t pairs = 0;
-    };
-    std::vector<RankState> ranks(team);
-    RankBuffers scratch(team, config.dim);
-
-    // One counter scope spanning all epochs: the rank→worker mapping
-    // is stable across dispatches, so each thread's set is opened once
-    // and the close() below aggregates the whole training run.
-    obs::PerfRankScopes perf_scopes("sgns", team);
-
-    for (unsigned epoch = 0; epoch < config.epochs; ++epoch) {
-        util::check_cancellation("the sgns epoch loop");
-        const obs::Span epoch_span("sgns.epoch");
-        std::atomic<std::size_t> cursor{0};
-        std::barrier sync(static_cast<std::ptrdiff_t>(team));
-        pool.run(team, [&](unsigned rank) {
-            perf_scopes.ensure(rank);
-            RankState& state = ranks[rank];
-            float* const output =
-                private_copies ? copy_ptrs[rank] : model.output_data();
-            try {
-                for (std::size_t round_begin = 0;
-                     round_begin < num_sentences;
-                     round_begin += round_size) {
-                    const std::size_t round_end =
-                        std::min(num_sentences, round_begin + round_size);
-                    for (;;) {
-                        const std::size_t chunk = cursor.fetch_add(
-                            kGrain, std::memory_order_relaxed);
-                        if (chunk >= round_end) {
-                            break;
-                        }
-                        const std::size_t chunk_end =
-                            std::min(chunk + kGrain, round_end);
-                        for (std::size_t s = chunk; s < chunk_end; ++s) {
-                            rng::Random random(rng::mix_seed(
-                                config.seed,
-                                static_cast<std::uint64_t>(epoch) *
-                                        num_sentences +
-                                    s));
-                            train_sentence(
-                                model, output, vocab, negatives,
-                                config, ops, corpus.walk(s),
-                                sgns_alpha(config, epoch, offsets[s],
-                                           corpus_tokens),
-                                random, state.words, scratch[rank],
-                                state.pairs);
-                        }
-                    }
-                    sync.arrive_and_wait(); // the round is trained
-                    if (rank == 0) {
-                        cursor.store(round_end, std::memory_order_relaxed);
-                    }
-                    if (private_copies) {
-                        const std::size_t begin = std::min(
-                            matrix_floats, rank * merge_slice);
-                        merge_output_copies(
-                            model.output_data(), copy_ptrs, begin,
-                            std::min(matrix_floats, begin + merge_slice));
-                    }
-                    sync.arrive_and_wait(); // copies hold the merge
-                }
-            } catch (...) {
-                // Release the peers still waiting on this rank.
-                sync.arrive_and_drop();
-                throw;
-            }
-        });
-
-        // Divergence screen: a runaway alpha turns the Hogwild updates
-        // into inf/NaN well before training ends; fail with context
-        // instead of emitting a poisoned embedding.
-        if (!model.all_finite()) {
-            util::fatal(util::strcat(
-                "train_sgns: non-finite model weights after epoch ",
-                epoch + 1, " of ", config.epochs,
-                " — training diverged (alpha = ", config.alpha, ")"));
-        }
-    }
-
-    std::uint64_t pairs = 0;
-    for (const RankState& state : ranks) {
-        pairs += state.pairs;
-    }
-    const std::uint64_t tokens = corpus_tokens * config.epochs;
-    const std::uint64_t merge_rounds =
-        private_copies ? static_cast<std::uint64_t>(config.epochs) *
-                             ((num_sentences + round_size - 1) / round_size)
-                       : 0;
-    const double seconds = timer.seconds();
-    obs::Registry& registry = obs::Registry::global();
-    registry.counter("sgns.pairs").add(pairs);
-    registry.counter("sgns.tokens").add(tokens);
-    registry.counter("sgns.epochs").add(config.epochs);
-    // The schedule's last value: the final sentence of the final epoch.
-    registry.gauge("sgns.alpha")
-        .set(static_cast<double>(
-            sgns_alpha(config, config.epochs - 1,
-                       offsets[num_sentences - 1], corpus_tokens)));
-    registry.gauge("sgns.replica_bytes")
-        .set(static_cast<double>(copy_ptrs.size() * matrix_floats *
-                                 sizeof(float)));
-    registry.gauge("sgns.merge_rounds")
-        .set(static_cast<double>(merge_rounds));
-    registry.gauge("sgns.pairs_per_second")
-        .set(seconds > 0.0 ? static_cast<double>(pairs) / seconds : 0.0);
-
-    const obs::PerfSample perf = perf_scopes.close();
-    for (const auto& [key, value] : obs::perf_span_args(perf)) {
+    TrainStats run;
+    run.pairs_trained = rounds.pairs;
+    run.tokens_processed = corpus.num_tokens() * config.epochs;
+    run.seconds = timer.seconds();
+    record_sgns_run(config, run, rounds);
+    for (const auto& [key, value] : obs::perf_span_args(rounds.perf)) {
         span.arg(key, value);
     }
-
     if (stats != nullptr) {
-        stats->pairs_trained = pairs;
-        stats->tokens_processed = tokens;
-        stats->seconds = seconds;
+        *stats = run;
     }
-    return model.to_embedding(vocab, num_nodes);
+    return std::move(rounds.embedding);
 }
 
 } // namespace tgl::embed

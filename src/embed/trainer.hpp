@@ -1,24 +1,27 @@
 /// @file
-/// Hogwild skip-gram trainer — the paper's CPU word2vec (RW-P2).
+/// Skip-gram trainer — the paper's CPU word2vec (RW-P2) and the CPU
+/// model of its batched GPU word2vec (SV-B, Fig. 5), one round loop.
 ///
-/// Threads sweep disjoint dynamic chunks of sentences and update the
-/// shared input matrix without synchronization; because each update
-/// touches only a handful of rows, collisions are rare and the
-/// race-tolerant scheme converges (Recht et al., NIPS 2011 — and the
-/// paper leans on the same sparsity argument for its batched GPU
-/// variant, SV-B).
+/// Each epoch is cut into rounds of sentences. Inside a round the team
+/// sweeps dynamic chunks and updates the shared input matrix without
+/// synchronization; because each update touches only a handful of
+/// rows, collisions are rare and the race-tolerant scheme converges
+/// (Recht et al., NIPS 2011 — and the paper leans on the same sparsity
+/// argument for its batched GPU variant). A round ends at a barrier,
+/// the CPU counterpart of the paper's launch boundary.
 ///
 /// The output matrix is different: at the paper's d = 8 it fits one
 /// core's L2, and under shared Hogwild nearly every output-row write
-/// becomes a cross-core line transfer. So while it stays near L2 size,
-/// each thread trains a private copy for one round (a fixed block of
-/// sentences) and the team folds the copies' changes back into the
-/// shared matrix at the round boundary — the CPU counterpart of the
-/// paper's sentence batching with stale reads (Fig. 5).
+/// becomes a cross-core line transfer. So while it stays near L2 size
+/// and a round has enough tokens to pay for the merge, each thread
+/// trains a private copy for the round and the team folds the copies'
+/// changes back into the shared matrix at the barrier — sentence
+/// batching with stale reads, as in Fig. 5.
 #pragma once
 
 #include "embed/embedding.hpp"
 #include "embed/sgns_model.hpp"
+#include "obs/perf_events.hpp"
 #include "walk/corpus.hpp"
 
 #include <cstdint>
@@ -34,7 +37,12 @@ struct TrainStats
     double seconds = 0.0;
 };
 
-/// Train SGNS embeddings over a walk corpus (Hogwild, multithreaded).
+/// The paper's best GPU batch (SV-B): sentences per round of the
+/// batched runs (`--batched`, Table III's GPU column).
+inline constexpr std::size_t kPaperBatchSentences = 16384;
+
+/// Train SGNS embeddings over a walk corpus (multithreaded rounds of
+/// config.batch_sentences sentences).
 ///
 /// @param corpus     walk sentences
 /// @param num_nodes  node-id space for the returned embedding
@@ -42,6 +50,37 @@ struct TrainStats
 /// @param stats      optional execution statistics
 Embedding train_sgns(const walk::Corpus& corpus, graph::NodeId num_nodes,
                      const SgnsConfig& config, TrainStats* stats = nullptr);
+
+/// What the round loop trained and did, for the sgns.* metrics.
+struct SgnsRounds
+{
+    /// The input vectors in node-id space.
+    Embedding embedding;
+    std::uint64_t pairs = 0;
+    /// The rate of the final sentence of the final epoch.
+    float last_alpha = 0.0f;
+    /// Bytes of the private output copies (0 when shared).
+    std::size_t replica_bytes = 0;
+    std::uint64_t merge_rounds = 0;
+    /// The team's hardware counters over the loop.
+    obs::PerfSample perf;
+};
+
+/// The round loop behind train_sgns: train @p model over epochs
+/// [first_epoch, config.epochs) of @p corpus, mapping nodes to words
+/// through @p vocab and drawing negatives from @p negatives, and return
+/// the embedding for node ids [0, num_nodes). The streaming trainer
+/// runs its later epochs through it (first_epoch 1, an identity
+/// vocabulary). Fails on divergence with the epoch.
+SgnsRounds train_sgns_epochs(SgnsModel& model, const Vocab& vocab,
+                             const NegativeTable& negatives,
+                             const walk::Corpus& corpus,
+                             graph::NodeId num_nodes,
+                             const SgnsConfig& config, unsigned first_epoch);
+
+/// Publish one training run as the sgns.* counters and gauges.
+void record_sgns_run(const SgnsConfig& config, const TrainStats& stats,
+                     const SgnsRounds& rounds);
 
 /// Learning rate of a sentence that starts @p tokens_before tokens into
 /// the corpus during @p epoch: word2vec's linear decay from
@@ -53,7 +92,9 @@ float sgns_alpha(const SgnsConfig& config, unsigned epoch,
 /// Whether a team of @p team threads trains private copies of an
 /// output matrix of @p matrix_bytes: only for teams > 1, and only while
 /// the matrix is at most 4x the per-core L2 (DESIGN.md §13). The first
-/// decision of the process is logged with both sizes.
+/// decision of the process is logged with both sizes. train_sgns adds
+/// a round-size floor on top (a round must have at least as many
+/// tokens as the matrix has rows).
 bool use_private_copies(unsigned team, std::size_t matrix_bytes);
 
 /// Floats of a matrix of @p matrix_floats that each of @p team ranks

@@ -11,7 +11,9 @@ DiscreteSampler::DiscreteSampler(const std::vector<double>& weights)
     if (weights.empty()) {
         util::fatal("DiscreteSampler: empty weight vector");
     }
-    cdf_.resize(weights.size());
+    // assign, not resize: gcc 12 at -O3 reports resize's default
+    // append into an empty vector as a null dereference.
+    cdf_.assign(weights.size(), 0.0);
     double running = 0.0;
     for (std::size_t i = 0; i < weights.size(); ++i) {
         if (weights[i] < 0.0) {

@@ -74,7 +74,6 @@
 #include "walk/transition_cache.hpp"
 
 // embed: word2vec (skip-gram negative sampling)
-#include "embed/batched_trainer.hpp"
 #include "embed/embedding.hpp"
 #include "embed/kernels.hpp"
 #include "embed/negative_table.hpp"

@@ -28,15 +28,20 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 namespace tgl::core {
 namespace {
 
 using namespace std::chrono_literals;
 
+/// A fresh directory unique to this process: ctest runs this binary
+/// whole under a label and case by case at the same time.
 std::string
 scratch_dir(const std::string& name)
 {
-    const std::string path = testing::TempDir() + "/tgl_chaos_" + name;
+    const std::string path = testing::TempDir() + "/tgl_chaos_" +
+                             std::to_string(getpid()) + "_" + name;
     std::filesystem::remove_all(path);
     return path;
 }

@@ -6,7 +6,6 @@
 /// bytes).
 #include "embed/kernels.hpp"
 
-#include "embed/batched_trainer.hpp"
 #include "embed/sigmoid_table.hpp"
 #include "embed/trainer.hpp"
 #include "util/error.hpp"
@@ -17,7 +16,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <limits>
-#include <set>
 #include <string_view>
 #include <vector>
 
@@ -348,63 +346,6 @@ TEST(SgnsKernels, SimdBackendRequiresVectorizedModel)
 }
 
 // ---------------------------------------------------------------------
-// Bugfix 3 regression: per-pair RNG streams in the batched trainer.
-// The old derivation packed `(epoch * num_sentences + s) << 8 |
-// (pos & 0xff)` and added the in-batch pair index: the `& 0xff`
-// wrapped on walks >= 256 tokens and the addition aliased adjacent
-// pairs. The fixed scheme hands every pair one value of a global
-// monotone counter, so streams are unique across positions, batches,
-// and epochs by construction — asserted here on a corpus built to
-// trigger both historic collision sources.
-
-TEST(SgnsKernels, BatchPairStreamsUniqueAcrossLongWalksBatchesAndEpochs)
-{
-    walk::Corpus corpus;
-    // One 300-token walk (wraps the historic `pos & 0xff`) plus a
-    // handful of short walks to span several batches.
-    std::vector<graph::NodeId> long_walk;
-    for (int i = 0; i < 300; ++i) {
-        long_walk.push_back(static_cast<graph::NodeId>(i % kNumNodes));
-    }
-    corpus.add_walk(long_walk);
-    const std::vector<graph::NodeId> short_walk = {0, 1, 2, 3, 4, 5};
-    for (int s = 0; s < 6; ++s) {
-        corpus.add_walk(short_walk);
-    }
-    const Vocab vocab(corpus);
-
-    SgnsConfig sgns;
-    sgns.window = 3;
-    sgns.seed = 9;
-
-    std::uint64_t pair_counter = 0;
-    std::vector<WordId> words;
-    std::vector<detail::BatchPair> pairs;
-    std::set<std::uint64_t> streams;
-    std::uint64_t total_pairs = 0;
-    for (unsigned epoch = 0; epoch < 2; ++epoch) {
-        // Batch size 2: the long walk and a short one, then the rest.
-        for (std::size_t begin = 0; begin < corpus.num_walks();
-             begin += 2) {
-            const std::size_t end =
-                std::min(begin + 2, corpus.num_walks());
-            detail::assemble_batch_pairs(corpus, vocab, sgns, epoch,
-                                         begin, end, pair_counter, words,
-                                         pairs);
-            for (const detail::BatchPair& pair : pairs) {
-                EXPECT_TRUE(streams.insert(pair.stream).second)
-                    << "duplicate stream " << pair.stream << " in epoch "
-                    << epoch;
-            }
-            total_pairs += pairs.size();
-        }
-    }
-    EXPECT_EQ(pair_counter, total_pairs);
-    EXPECT_EQ(streams.size(), total_pairs);
-    EXPECT_GT(total_pairs, 1000u); // the long walk alone yields > 1k
-}
-
-// ---------------------------------------------------------------------
 // Equivalence battery (`ctest -L equivalence`): scalar and simd
 // backends must agree in law — both train embeddings that separate the
 // two communities to link-prediction-grade margins and stay finite.
@@ -436,14 +377,11 @@ TEST(SgnsKernels, EquivalenceBatchedScalarVsSimd)
     for (int seed = 1; seed <= seeds; ++seed) {
         const walk::Corpus corpus =
             two_community_corpus(static_cast<std::uint64_t>(seed));
-        BatchedSgnsConfig config;
-        config.batch_size = 64;
-        config.sgns = fast_config(kernels::SgnsBackend::kScalar);
-        const Embedding scalar =
-            train_sgns_batched(corpus, kNumNodes, config);
-        config.sgns.backend = kernels::SgnsBackend::kSimd;
-        const Embedding simd =
-            train_sgns_batched(corpus, kNumNodes, config);
+        SgnsConfig config = fast_config(kernels::SgnsBackend::kScalar);
+        config.batch_sentences = 64;
+        const Embedding scalar = train_sgns(corpus, kNumNodes, config);
+        config.backend = kernels::SgnsBackend::kSimd;
+        const Embedding simd = train_sgns(corpus, kNumNodes, config);
         EXPECT_TRUE(all_finite(scalar)) << "seed " << seed;
         EXPECT_TRUE(all_finite(simd)) << "seed " << seed;
         const double scalar_margin = separation_margin(scalar);

@@ -29,7 +29,7 @@ TEST(NegativeTable, AliasProbabilitiesFollowThreeQuarterPower)
 {
     // counts 16 and 1: weights 16^0.75 = 8 and 1 -> probs 8/9, 1/9.
     const Vocab vocab(corpus_with_counts({{0, 16}, {1, 1}}));
-    const NegativeTable table(vocab, NegativeTableKind::kAlias);
+    const NegativeTable table(vocab);
     EXPECT_NEAR(table.probability(0), 8.0 / 9.0, 1e-9);
     EXPECT_NEAR(table.probability(1), 1.0 / 9.0, 1e-9);
 }
@@ -50,56 +50,9 @@ TEST(NegativeTable, AliasEmpiricalDistribution)
                 0.01);
 }
 
-TEST(NegativeTable, ArrayModeApproximatesAlias)
-{
-    const Vocab vocab(
-        corpus_with_counts({{0, 100}, {1, 50}, {2, 10}, {3, 1}}));
-    const NegativeTable alias(vocab, NegativeTableKind::kAlias);
-    const NegativeTable array(vocab, NegativeTableKind::kArray, 1 << 16);
-    for (WordId w = 0; w < 4; ++w) {
-        EXPECT_NEAR(array.probability(w), alias.probability(w), 0.01)
-            << "word " << w;
-    }
-}
-
-TEST(NegativeTable, ArrayEmpiricalDistribution)
-{
-    const Vocab vocab(corpus_with_counts({{0, 81}, {1, 1}}));
-    const NegativeTable table(vocab, NegativeTableKind::kArray, 1 << 14);
-    rng::Random random(2);
-    int zero_draws = 0;
-    constexpr int kDraws = 100000;
-    for (int i = 0; i < kDraws; ++i) {
-        if (table.sample(random) == 0) {
-            ++zero_draws;
-        }
-    }
-    // 81^0.75 = 27 -> p0 = 27/28.
-    EXPECT_NEAR(zero_draws / static_cast<double>(kDraws), 27.0 / 28.0,
-                0.01);
-}
-
 TEST(NegativeTable, EmptyVocabThrows)
 {
     EXPECT_THROW(NegativeTable(Vocab{}), util::Error);
-}
-
-TEST(NegativeTable, ArraySmallerThanVocabThrows)
-{
-    const Vocab vocab(
-        corpus_with_counts({{0, 1}, {1, 1}, {2, 1}, {3, 1}}));
-    EXPECT_THROW(NegativeTable(vocab, NegativeTableKind::kArray, 2),
-                 util::Error);
-}
-
-TEST(NegativeTable, EveryWordReachableInArrayMode)
-{
-    const Vocab vocab(
-        corpus_with_counts({{0, 1000}, {1, 100}, {2, 10}, {3, 1}}));
-    const NegativeTable table(vocab, NegativeTableKind::kArray, 1 << 16);
-    for (WordId w = 0; w < 4; ++w) {
-        EXPECT_GT(table.probability(w), 0.0) << "word " << w;
-    }
 }
 
 /// Draw-count scale factor for the nightly high-sample rerun:
@@ -113,28 +66,6 @@ equiv_scale()
     }
     const long mult = std::strtol(env, nullptr, 10);
     return mult > 1 ? static_cast<int>(mult) : 1;
-}
-
-// Regression for the array-fill defect inherited from word2vec's
-// InitUnigramTable: the fill loop assigned every word at least one
-// slot before checking the cumulative threshold, so a zero-count word
-// (possible through the raw-counts constructor, e.g. a node the
-// streaming shard never saw) kept 1/array_size sampling probability
-// instead of zero. Pre-fix, probability() returns > 0 for words 1 and
-// 3 here and this test fails.
-TEST(NegativeTable, ArrayModeZeroCountWordsGetNoSlots)
-{
-    const std::vector<std::uint64_t> counts = {100, 0, 50, 0, 1};
-    const NegativeTable array(counts, NegativeTableKind::kArray, 1 << 16);
-    EXPECT_EQ(array.probability(1), 0.0);
-    EXPECT_EQ(array.probability(3), 0.0);
-    rng::Random random(7);
-    const int draws = 20000 * equiv_scale();
-    for (int i = 0; i < draws; ++i) {
-        const WordId w = array.sample(random);
-        EXPECT_NE(w, 1u);
-        EXPECT_NE(w, 3u);
-    }
 }
 
 /// Chi-square statistic of @p observed against expectations from
@@ -161,35 +92,26 @@ chi_square(const std::vector<int>& observed,
     return chi2;
 }
 
-// Alias and array modes must agree on the same count^0.75 law even
-// when the fixture interleaves zero-count words — the configuration
-// the array-fill bug corrupted. Pre-fix the zero-weight bins collect
-// ~draws/array_size hits each and the EXPECT_EQ inside chi_square
-// fires.
-TEST(NegativeTable, AliasArrayChiSquareAgreementWithZeroCounts)
+// Zero-count words (nodes the streaming trainer's shards never saw)
+// must never be drawn, and the rest must follow the count^0.75 law.
+TEST(NegativeTable, AliasChiSquareWithZeroCounts)
 {
     const std::vector<std::uint64_t> counts = {0, 400, 0, 81, 16, 0, 1};
     std::vector<double> weights(counts.size());
     for (std::size_t w = 0; w < counts.size(); ++w) {
         weights[w] = std::pow(static_cast<double>(counts[w]), 0.75);
     }
-    const NegativeTable alias(counts, NegativeTableKind::kAlias);
-    const NegativeTable array(counts, NegativeTableKind::kArray, 1 << 16);
+    const NegativeTable alias(counts);
 
     const int draws = 100000 * equiv_scale();
     std::vector<int> alias_hits(counts.size(), 0);
-    std::vector<int> array_hits(counts.size(), 0);
     rng::Random alias_random(11);
-    rng::Random array_random(13);
     for (int i = 0; i < draws; ++i) {
         ++alias_hits[alias.sample(alias_random)];
-        ++array_hits[array.sample(array_random)];
     }
-    // 4 sampleable words -> 3 degrees of freedom; 18.0 is far past the
-    // 99.9% critical value 16.3... of chi2(3), but the array table also
-    // carries O(vocab/array_size) quantization error, so leave slack.
+    // 4 sampleable words -> 3 degrees of freedom; 18.0 is past the
+    // 99.9% critical value 16.3 of chi2(3).
     EXPECT_LT(chi_square(alias_hits, weights, draws), 18.0);
-    EXPECT_LT(chi_square(array_hits, weights, draws), 18.0);
 }
 
 } // namespace

@@ -1,7 +1,6 @@
-/// Behavioral tests for the SGNS trainers: embeddings must place
+/// Behavioral tests for the SGNS trainer: embeddings must place
 /// co-occurring nodes close and non-co-occurring nodes far, under the
-/// Hogwild trainer, the batched trainer, and every optimization knob.
-#include "embed/batched_trainer.hpp"
+/// automatic and set (batched) round sizes and every optimization knob.
 #include "embed/trainer.hpp"
 
 #include "obs/metrics.hpp"
@@ -87,12 +86,11 @@ TEST(Sgns, HogwildSeparatesCommunities)
 
 TEST(Sgns, BatchedSeparatesCommunities)
 {
-    BatchedSgnsConfig config;
-    config.sgns = fast_config();
-    config.batch_size = 64;
+    SgnsConfig config = fast_config();
+    config.batch_sentences = 64;
     TrainStats stats;
-    const Embedding embedding = train_sgns_batched(
-        two_community_corpus(2), kNumNodes, config, &stats);
+    const Embedding embedding =
+        train_sgns(two_community_corpus(2), kNumNodes, config, &stats);
     EXPECT_GT(separation_margin(embedding), 0.5);
     EXPECT_GT(stats.pairs_trained, 0u);
 }
@@ -101,14 +99,13 @@ TEST(Sgns, BatchedQualityInsensitiveToBatchSize)
 {
     // The paper's Fig. 5 claim: batching (stale reads) costs no
     // accuracy. Compare tiny and huge batches on the same corpus.
-    BatchedSgnsConfig config;
-    config.sgns = fast_config();
-    config.batch_size = 1;
-    const Embedding small_batch = train_sgns_batched(
-        two_community_corpus(3), kNumNodes, config);
-    config.batch_size = 100000;
-    const Embedding large_batch = train_sgns_batched(
-        two_community_corpus(3), kNumNodes, config);
+    SgnsConfig config = fast_config();
+    config.batch_sentences = 1;
+    const Embedding small_batch =
+        train_sgns(two_community_corpus(3), kNumNodes, config);
+    config.batch_sentences = 100000;
+    const Embedding large_batch =
+        train_sgns(two_community_corpus(3), kNumNodes, config);
     EXPECT_GT(separation_margin(small_batch), 0.5);
     EXPECT_GT(separation_margin(large_batch), 0.5);
 }
@@ -196,14 +193,13 @@ TEST(Sgns, SubsamplingStillTrains)
 TEST(Sgns, SharedNegativesMatchQuality)
 {
     // The shared-negative-pool optimization must not hurt embedding
-    // quality when batches are small relative to the corpus.
-    BatchedSgnsConfig config;
-    config.sgns = fast_config();
-    config.batch_size = 32;
+    // quality when rounds are small relative to the corpus.
+    SgnsConfig config = fast_config();
+    config.batch_sentences = 32;
     config.shared_negatives = true;
     TrainStats stats;
-    const Embedding embedding = train_sgns_batched(
-        two_community_corpus(14), kNumNodes, config, &stats);
+    const Embedding embedding =
+        train_sgns(two_community_corpus(14), kNumNodes, config, &stats);
     EXPECT_GT(separation_margin(embedding), 0.5);
     EXPECT_GT(stats.pairs_trained, 0u);
 }
@@ -229,20 +225,9 @@ TEST(Sgns, EmptyCorpusThrows)
 {
     EXPECT_THROW(train_sgns(walk::Corpus{}, 10, fast_config()),
                  util::Error);
-    BatchedSgnsConfig batched;
-    batched.sgns = fast_config();
-    EXPECT_THROW(train_sgns_batched(walk::Corpus{}, 10, batched),
-                 util::Error);
-}
-
-TEST(Sgns, BatchedZeroBatchSizeThrows)
-{
-    BatchedSgnsConfig config;
-    config.sgns = fast_config();
-    config.batch_size = 0;
-    EXPECT_THROW(
-        train_sgns_batched(two_community_corpus(12), kNumNodes, config),
-        util::Error);
+    SgnsConfig batched = fast_config();
+    batched.batch_sentences = 64;
+    EXPECT_THROW(train_sgns(walk::Corpus{}, 10, batched), util::Error);
 }
 
 TEST(Sgns, SingleThreadDeterministic)
@@ -377,24 +362,23 @@ TEST(Sgns, BatchedLaunchesMergeCopiesOnlyWhenLargeEnough)
         GTEST_SKIP() << "one hardware thread: no team to copy for";
     }
     const walk::Corpus corpus = two_community_corpus(16);
-    BatchedSgnsConfig config;
-    config.sgns = fast_config();
-    const auto train_and_scrape = [&](std::size_t batch_size) {
-        config.batch_size = batch_size;
-        train_sgns_batched(corpus, kNumNodes, config);
+    SgnsConfig config = fast_config();
+    const auto train_and_scrape = [&](std::size_t batch_sentences) {
+        config.batch_sentences = batch_sentences;
+        train_sgns(corpus, kNumNodes, config);
         return obs::Registry::global().snapshot();
     };
 
-    // 100 sentences of 6 tokens outnumber the 2 x 20 rows of the two
-    // copies: every launch merges, eight per epoch.
+    // 100 sentences of 6 tokens outnumber the 20 rows of the copies:
+    // every round merges, eight per epoch.
     const obs::MetricsSnapshot large = train_and_scrape(100);
     EXPECT_EQ(large.value("sgns.replica_bytes"),
-              2.0 * kNumNodes * config.sgns.dim * sizeof(float));
+              2.0 * kNumNodes * config.dim * sizeof(float));
     EXPECT_EQ(large.value("sgns.merge_rounds"),
-              8.0 * static_cast<double>(config.sgns.epochs));
+              8.0 * static_cast<double>(config.epochs));
 
-    // One sentence per launch: merging 40 rows after 6 tokens would
-    // cost more than the launch, so the team shares the matrix.
+    // One sentence per round: merging 40 rows after 6 tokens would
+    // cost more than the round, so the team shares the matrix.
     const obs::MetricsSnapshot small = train_and_scrape(1);
     EXPECT_EQ(small.value("sgns.replica_bytes"), 0.0);
     EXPECT_EQ(small.value("sgns.merge_rounds"), 0.0);

@@ -113,10 +113,9 @@ TEST(Pipeline, BatchedW2vModeMatchesQuality)
     PipelineConfig config = fast_pipeline();
     const PipelineResult hogwild = run_pipeline(dataset, config);
 
-    config.w2v_mode = W2vMode::kBatched;
     // Batch well below the corpus size, like the paper's 16k batch vs
     // its multi-million-sentence corpora.
-    config.w2v_batch_size = 512;
+    config.sgns.batch_sentences = 512;
     const PipelineResult batched = run_pipeline(dataset, config);
 
     EXPECT_GT(batched.w2v_stats.pairs_trained, 0u);

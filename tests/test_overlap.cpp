@@ -10,8 +10,10 @@
 #include "core/pipeline.hpp"
 #include "embed/negative_table.hpp"
 #include "embed/streaming_trainer.hpp"
+#include "embed/trainer.hpp"
 #include "embed/vocab.hpp"
 #include "graph/builder.hpp"
+#include "obs/metrics.hpp"
 #include "util/shard_queue.hpp"
 #include "walk/engine.hpp"
 
@@ -23,13 +25,18 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 namespace tgl::core {
 namespace {
 
+/// A fresh directory unique to this process: ctest runs this binary
+/// whole under a label and case by case at the same time.
 std::string
 scratch_dir(const std::string& name)
 {
-    const std::string path = testing::TempDir() + "/tgl_overlap_" + name;
+    const std::string path = testing::TempDir() + "/tgl_overlap_" +
+                             std::to_string(getpid()) + "_" + name;
     std::filesystem::remove_all(path);
     return path;
 }
@@ -253,10 +260,10 @@ TEST(PlanOverlap, GatesAndDecisions)
     EXPECT_EQ(plan_overlap(graph, config).num_shards, 3u);
     config.overlap_shards = 0;
 
-    // Batched word2vec cannot consume a stream.
-    config.w2v_mode = W2vMode::kBatched;
+    // Rounds of a set size cannot be cut from a stream.
+    config.sgns.batch_sentences = embed::kPaperBatchSentences;
     EXPECT_FALSE(plan_overlap(graph, config).enabled);
-    config.w2v_mode = W2vMode::kHogwild;
+    config.sgns.batch_sentences = 0;
 
     // min-count filtering needs global counts up front.
     config.sgns.min_count = 2;
@@ -313,6 +320,36 @@ TEST(OverlapFrontEnd, CorpusMatchesSequentialAcrossThreadCounts)
             EXPECT_EQ(out.embedding.num_nodes(), graph.num_nodes());
         }
     }
+}
+
+TEST(OverlapFrontEnd, ReportsTheLastAlphaApplied)
+{
+    // The replay epochs train through train_sgns's round loop, so the
+    // gauge reads the pure schedule's rate at the final sentence of the
+    // final epoch, not the starting rate.
+    const auto graph = test_graph();
+    PipelineConfig config;
+    config.walk = test_walk_config();
+    config.sgns.dim = 8;
+    config.sgns.epochs = 3;
+    config.sgns.num_threads = 2;
+    config.overlap = OverlapMode::kOn;
+    OverlapPlan plan;
+    plan.enabled = true;
+    plan.num_shards = 4;
+    plan.producer_threads = 1;
+    plan.consumer_threads = 1;
+    plan.queue_capacity = 2;
+
+    const OverlapFrontEnd out =
+        run_overlapped_front_end(graph, config, nullptr, plan, nullptr, 0);
+    const walk::Corpus& corpus = out.corpus;
+    const float last_alpha = embed::sgns_alpha(
+        config.sgns, config.sgns.epochs - 1,
+        corpus.offsets()[corpus.num_walks() - 1], corpus.num_tokens());
+    EXPECT_LT(last_alpha, 0.1f * config.sgns.alpha);
+    EXPECT_EQ(obs::Registry::global().snapshot().value("sgns.alpha"),
+              static_cast<double>(last_alpha));
 }
 
 TEST(ShardCheckpoints, FingerprintSeparatesPartitions)
@@ -455,10 +492,10 @@ TEST(Pipeline, ValidateRejectsIncompatibleOverlapOn)
 {
     PipelineConfig config;
     config.overlap = OverlapMode::kOn;
-    config.w2v_mode = W2vMode::kBatched;
+    config.sgns.batch_sentences = embed::kPaperBatchSentences;
     EXPECT_FALSE(config.validate().empty());
 
-    config.w2v_mode = W2vMode::kHogwild;
+    config.sgns.batch_sentences = 0;
     config.sgns.min_count = 2;
     EXPECT_FALSE(config.validate().empty());
 

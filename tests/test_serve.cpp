@@ -32,7 +32,18 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 namespace {
+
+/// A file under the test temp dir, unique to this process: ctest runs
+/// this binary under several labels at once, and a shared name let one
+/// process replace another's reload file mid-test.
+std::string
+scratch_path(const std::string& name)
+{
+    return testing::TempDir() + std::to_string(getpid()) + "_" + name;
+}
 
 using namespace tgl;
 
@@ -413,7 +424,7 @@ TEST(ServeServer, ReloadBumpsEpochAndSwapsScores)
     const std::vector<float> before = client.link_scores({{0, 1}});
 
     const std::string path =
-        testing::TempDir() + "serve_reload_test.tgla";
+        scratch_path("serve_reload_test.tgla");
     const embed::Embedding next =
         make_embedding(fixture.embedding.num_nodes(),
                        fixture.embedding.dim(), 999);
@@ -444,7 +455,7 @@ TEST(ServeServer, FailedReloadKeepsServingOldEpoch)
     EXPECT_EQ(client.ping().epoch, 1u);
     // Dim mismatch is equally non-fatal.
     const std::string wrong =
-        testing::TempDir() + "serve_wrong_dim.tgla";
+        scratch_path("serve_wrong_dim.tgla");
     make_embedding(10, 4, 1).save_binary_file(wrong);
     payload.clear();
     serve::put_u8(payload, static_cast<std::uint8_t>(serve::Op::kReload));
@@ -559,7 +570,7 @@ TEST(ServeServer, StressConcurrentMixedLoadWithReloads)
 
     const ServerFixture fixture(serve::QuantMode::kFp32, 80, 8);
     const std::string path =
-        testing::TempDir() + "serve_stress_reload.tgla";
+        scratch_path("serve_stress_reload.tgla");
     make_embedding(80, 8, 31).save_binary_file(path);
 
     std::atomic<std::uint64_t> scored{0};

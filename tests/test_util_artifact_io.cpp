@@ -229,11 +229,11 @@ TEST(AtomicWrite, InjectedFaultBeforeRenameLeavesOriginal)
     const std::string path =
         testing::TempDir() + "/tgl_atomic_fault_test.txt";
     atomic_write_file(path, [](std::ostream& out) { out << "original"; });
-    FaultInjector::arm("artifact_io.before-rename");
+    FailpointRegistry::configure("artifact_io.before-rename=error@1");
     EXPECT_THROW(atomic_write_file(
                      path, [](std::ostream& out) { out << "replacement"; }),
                  FaultInjected);
-    FaultInjector::disarm();
+    FailpointRegistry::clear();
     std::ifstream in(path);
     std::string content;
     std::getline(in, content);
@@ -264,24 +264,23 @@ TEST(FailAfterOStream, SavePathReportsStreamFailure)
     EXPECT_THROW(writer.finish(), Error);
 }
 
-TEST(FaultInjector, ArmsNthHitAndCountsHits)
-{
-    FaultInjector::arm("test.site", 3);
-    fault_point("other.site"); // different site: no effect
-    fault_point("test.site");
-    fault_point("test.site");
-    EXPECT_THROW(fault_point("test.site"), FaultInjected);
-    EXPECT_EQ(FaultInjector::hits(), 3u);
-    // Auto-disarmed after firing.
-    fault_point("test.site");
-    FaultInjector::disarm();
-}
-
 class FailpointRegistryTest : public testing::Test
 {
   protected:
     void TearDown() override { FailpointRegistry::clear(); }
 };
+
+TEST_F(FailpointRegistryTest, ArmsNthHitAndCountsHits)
+{
+    FailpointRegistry::configure("test.site=error@3");
+    fault_point("other.site"); // different site: no effect
+    fault_point("test.site");
+    fault_point("test.site");
+    EXPECT_THROW(fault_point("test.site"), FaultInjected);
+    EXPECT_EQ(FailpointRegistry::hits("test.site"), 3u);
+    // Auto-disarmed after firing.
+    fault_point("test.site");
+}
 
 TEST_F(FailpointRegistryTest, ParsesMultiSiteSpec)
 {

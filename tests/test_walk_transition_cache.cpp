@@ -224,10 +224,11 @@ INSTANTIATE_TEST_SUITE_P(
                           TransitionKind::kExponential,
                           TransitionKind::kExponentialDecay,
                           TransitionKind::kLinear)),
-    [](const auto& info) {
+    [](const auto& test_case) {
         std::string label =
-            equivalence_cases()[std::get<0>(info.param)].name +
-            std::string("_") + transition_name(std::get<1>(info.param));
+            equivalence_cases()[std::get<0>(test_case.param)].name +
+            std::string("_") +
+            transition_name(std::get<1>(test_case.param));
         // gtest parameter names allow only [A-Za-z0-9_].
         for (char& c : label) {
             if (c == '-') {
