@@ -26,10 +26,13 @@
 #pragma once
 
 #include "util/string_util.hpp"
+#include "util/timer.hpp"
 
 #include <cstdio>
+#include <ctime>
 #include <fstream>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -115,6 +118,93 @@ write_bench_json(const std::string& path, const std::string& suite,
     }
     out << "  ]\n}\n";
     std::printf("wrote %s (%zu entries)\n", path.c_str(), entries.size());
+}
+
+/// Wall and process-CPU clocks of one repetition of a measured region.
+/// Both run from construction until stop(); restart() leaves per-rep
+/// setup untimed and stop() leaves the rest of the rep untimed.
+class RepTimer
+{
+  public:
+    /// Start both clocks again.
+    void
+    restart()
+    {
+        stopped_ = false;
+        cpu_start_ = std::clock();
+        wall_.reset();
+    }
+
+    /// Stop both clocks; only the first call after a restart counts.
+    void
+    stop()
+    {
+        if (!stopped_) {
+            stopped_ = true;
+            wall_seconds_ = wall_.seconds();
+            cpu_seconds_ =
+                static_cast<double>(std::clock() - cpu_start_) /
+                CLOCKS_PER_SEC;
+        }
+    }
+
+    double wall_seconds() const { return wall_seconds_; }
+    double cpu_seconds() const { return cpu_seconds_; }
+
+  private:
+    bool stopped_ = false;
+    std::clock_t cpu_start_ = std::clock();
+    util::Timer wall_;
+    double wall_seconds_ = 0.0;
+    double cpu_seconds_ = 0.0;
+};
+
+/// The fastest repetition of a measured region.
+template <typename T>
+struct BestOf
+{
+    /// Its wall time: the minimum over the repetitions.
+    double seconds = 1e300;
+    /// The process CPU time of that same repetition.
+    double cpu_seconds = 0.0;
+    /// What that same repetition returned (its work count, say).
+    T value{};
+};
+
+template <>
+struct BestOf<void>
+{
+    double seconds = 1e300;
+    double cpu_seconds = 0.0;
+};
+
+/// Run @p rep, called as rep(index, RepTimer&), @p reps times and keep
+/// the fastest repetition: the best-of-N loop of the micro benches'
+/// A/B harnesses.
+template <typename Rep>
+auto
+best_of(int reps, Rep&& rep)
+{
+    using T = std::invoke_result_t<Rep&, int, RepTimer&>;
+    BestOf<T> best;
+    for (int index = 0; index < reps; ++index) {
+        RepTimer timer;
+        if constexpr (std::is_void_v<T>) {
+            rep(index, timer);
+            timer.stop();
+            if (timer.wall_seconds() < best.seconds) {
+                best = {timer.wall_seconds(), timer.cpu_seconds()};
+            }
+        } else {
+            T value = rep(index, timer);
+            timer.stop();
+            if (timer.wall_seconds() < best.seconds) {
+                best = {timer.wall_seconds(), timer.cpu_seconds(),
+                        std::move(value)};
+            }
+        }
+    }
+    return best;
 }
 
 /// Incremental builder over the same schema. write_bench_json() forces

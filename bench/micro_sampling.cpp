@@ -12,7 +12,6 @@
 #include "graph/builder.hpp"
 #include "rng/alias_table.hpp"
 #include "rng/discrete_sampler.hpp"
-#include "util/timer.hpp"
 #include "walk/transition_cache.hpp"
 
 #include <benchmark/benchmark.h>
@@ -172,24 +171,24 @@ measure_transition_draw(std::size_t n, walk::TransitionKind kind,
     const double rate = graph.time_range();
 
     constexpr int kDraws = 200000;
-    constexpr int kReps = 3;
-    double direct = 1e300, cached = 1e300;
-    for (int rep = 0; rep < kReps; ++rep) {
-        rng::Random random(rep + 1);
-        util::Timer timer;
-        for (int i = 0; i < kDraws; ++i) {
-            benchmark::DoNotOptimize(walk::sample_transition(
-                candidates, 0.0, rate, kind, random));
-        }
-        direct = std::min(direct, timer.seconds());
-
-        timer.reset();
-        for (int i = 0; i < kDraws; ++i) {
-            benchmark::DoNotOptimize(
-                cache.sample(graph, 0, candidates, 0.0, random));
-        }
-        cached = std::min(cached, timer.seconds());
-    }
+    const double direct =
+        bench::best_of(3, [&](int rep, bench::RepTimer& timer) {
+            rng::Random random(rep + 1);
+            timer.restart();
+            for (int i = 0; i < kDraws; ++i) {
+                benchmark::DoNotOptimize(walk::sample_transition(
+                    candidates, 0.0, rate, kind, random));
+            }
+        }).seconds;
+    const double cached =
+        bench::best_of(3, [&](int rep, bench::RepTimer& timer) {
+            rng::Random random(rep + 1);
+            timer.restart();
+            for (int i = 0; i < kDraws; ++i) {
+                benchmark::DoNotOptimize(
+                    cache.sample(graph, 0, candidates, 0.0, random));
+            }
+        }).seconds;
     const double speedup = cached > 0.0 ? direct / cached : 0.0;
     const std::string base = std::string("sampling/") +
                              walk::transition_name(kind) + "/d" +

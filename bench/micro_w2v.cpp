@@ -14,13 +14,12 @@
 /// for the schema.
 #include "bench_json.hpp"
 #include "tgl/tgl.hpp"
-#include "util/timer.hpp"
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstdio>
-#include <ctime>
+#include <numeric>
 #include <string>
 
 namespace {
@@ -187,26 +186,21 @@ BM_NegativeTableAlias(benchmark::State& state)
 
 BENCHMARK(BM_NegativeTableAlias);
 
-/// Best-of-N wall time of one full trainer run; returns the pairs
+/// Best-of-3 wall time of one full trainer run; returns the pairs
 /// trained in the fastest rep via @p pairs so rates use real work.
 template <typename TrainFn>
 double
 time_trainer(TrainFn&& train, std::uint64_t* pairs)
 {
-    constexpr int kReps = 3;
-    double best = 1e300;
-    for (int rep = 0; rep < kReps; ++rep) {
+    const auto best = bench::best_of(3, [&](int, bench::RepTimer& timer) {
         embed::TrainStats stats;
-        util::Timer timer;
         const embed::Embedding embedding = train(stats);
-        const double seconds = timer.seconds();
+        timer.stop();
         benchmark::DoNotOptimize(embedding.num_nodes());
-        if (seconds < best) {
-            best = seconds;
-            *pairs = stats.pairs_trained;
-        }
-    }
-    return best;
+        return stats.pairs_trained;
+    });
+    *pairs = best.value;
+    return best.seconds;
 }
 
 /// Automatic vs 16384-sentence rounds and the negative-table draw
@@ -241,19 +235,16 @@ run_trainer_comparison()
     constexpr std::uint64_t kDraws = 1u << 22;
     const auto time_table = [&] {
         const embed::NegativeTable table(vocab);
-        double best = 1e300;
-        for (int rep = 0; rep < 3; ++rep) {
-            rng::Random random(3);
-            std::uint64_t sink = 0;
-            util::Timer timer;
-            for (std::uint64_t i = 0; i < kDraws; ++i) {
-                sink += table.sample(random);
-            }
-            const double seconds = timer.seconds();
-            benchmark::DoNotOptimize(sink);
-            best = std::min(best, seconds);
-        }
-        return best;
+        return bench::best_of(3, [&](int, bench::RepTimer& timer) {
+                   rng::Random random(3);
+                   std::uint64_t sink = 0;
+                   timer.restart();
+                   for (std::uint64_t i = 0; i < kDraws; ++i) {
+                       sink += table.sample(random);
+                   }
+                   timer.stop();
+                   benchmark::DoNotOptimize(sink);
+               }).seconds;
     };
     const double alias_s = time_table();
 
@@ -289,36 +280,27 @@ run_trainer_comparison()
         config.dim = 8;
         config.epochs = 1;
         config.num_threads = threads;
-        double best = 1e300;
-        double best_cpu = 0.0;
-        std::uint64_t pairs = 0;
-        for (int rep = 0; rep < 3; ++rep) {
+        const auto best = bench::best_of(3, [&](int,
+                                                bench::RepTimer& timer) {
             embed::TrainStats stats;
-            const std::clock_t cpu_start = std::clock();
-            util::Timer timer;
+            timer.restart();
             benchmark::DoNotOptimize(embed::train_sgns(
                 scaling, scaling_nodes, config, &stats));
-            const double seconds = timer.seconds();
-            const double cpu = static_cast<double>(std::clock() -
-                                                   cpu_start) /
-                               CLOCKS_PER_SEC;
-            if (seconds < best) {
-                best = seconds;
-                best_cpu = cpu;
-                pairs = stats.pairs_trained;
-            }
-        }
+            return stats.pairs_trained;
+        });
+        const std::uint64_t pairs = best.value;
         const double per_pair = pairs > 0 ? 1e9 / pairs : 0.0;
         entries.push_back(
-            {util::strcat("w2v/hogwild_d8/threads", threads), best,
-             best > 0.0 ? pairs / best : 0.0,
+            {util::strcat("w2v/hogwild_d8/threads", threads), best.seconds,
+             best.seconds > 0.0 ? pairs / best.seconds : 0.0,
              {{"threads", static_cast<double>(threads)},
               {"pairs", static_cast<double>(pairs)},
-              {"ns_per_pair", best * per_pair},
-              {"cpu_ns_per_pair", best_cpu * per_pair}}});
+              {"ns_per_pair", best.seconds * per_pair},
+              {"cpu_ns_per_pair", best.cpu_seconds * per_pair}}});
         std::printf("hogwild d=8 %u thread(s): %8.4fs | %6.1f ns/pair | "
                     "%6.1f cpu ns/pair\n",
-                    threads, best, best * per_pair, best_cpu * per_pair);
+                    threads, best.seconds, best.seconds * per_pair,
+                    best.cpu_seconds * per_pair);
     }
     bench::write_bench_json(
         "BENCH_w2v.json", "w2v", entries,
@@ -346,6 +328,12 @@ run_kernel_comparison()
         counts[w] = 1 + 1000 / (w + 1);
     }
     const embed::NegativeTable negatives(counts);
+    // A vocabulary of kVocab words, word w = node w, sizes the model.
+    walk::Corpus words;
+    std::vector<graph::NodeId> nodes(kVocab);
+    std::iota(nodes.begin(), nodes.end(), graph::NodeId{0});
+    words.add_walk(nodes);
+    const embed::Vocab vocab(words);
 
     std::vector<bench::BenchEntry> entries;
     std::vector<double> speedups;
@@ -355,28 +343,27 @@ run_kernel_comparison()
 
         const auto time_backend =
             [&](const embed::kernels::SgnsBackendOps& ops) {
-                double best = 1e300;
-                for (int rep = 0; rep < 3; ++rep) {
-                    embed::SgnsModel model(kVocab, config);
-                    std::vector<float> scratch(dim);
-                    rng::Random pair_random(11);
-                    rng::Random negative_random(13);
-                    util::Timer timer;
-                    for (std::uint64_t i = 0; i < kPairs; ++i) {
-                        const auto context = static_cast<embed::WordId>(
-                            pair_random.next_index(kVocab));
-                        const auto center = static_cast<embed::WordId>(
-                            pair_random.next_index(kVocab));
-                        embed::sgns_update_pair(
-                            model, model.output_data(), context, center,
-                            negatives, kNegatives, 0.025f, ops,
-                            negative_random, scratch.data());
-                    }
-                    const double seconds = timer.seconds();
-                    benchmark::DoNotOptimize(model.all_finite());
-                    best = std::min(best, seconds);
-                }
-                return best;
+                return bench::best_of(3, [&](int, bench::RepTimer& timer) {
+                           embed::SgnsModel model(vocab, config);
+                           std::vector<float> scratch(dim);
+                           rng::Random pair_random(11);
+                           rng::Random negative_random(13);
+                           timer.restart();
+                           for (std::uint64_t i = 0; i < kPairs; ++i) {
+                               const auto context =
+                                   static_cast<embed::WordId>(
+                                       pair_random.next_index(kVocab));
+                               const auto center =
+                                   static_cast<embed::WordId>(
+                                       pair_random.next_index(kVocab));
+                               embed::sgns_update_pair(
+                                   model, model.output_data(), context,
+                                   center, negatives, kNegatives, 0.025f,
+                                   ops, negative_random, scratch.data());
+                           }
+                           timer.stop();
+                           benchmark::DoNotOptimize(model.all_finite());
+                       }).seconds;
             };
 
         const double scalar_s =

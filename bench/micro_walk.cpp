@@ -12,7 +12,6 @@
 /// schema.
 #include "bench_json.hpp"
 #include "tgl/tgl.hpp"
-#include "util/timer.hpp"
 
 #include <benchmark/benchmark.h>
 
@@ -141,52 +140,44 @@ BENCHMARK(BM_WalkLengthSweep)
     ->Arg(80)
     ->Unit(benchmark::kMillisecond);
 
-/// Best-of-N wall time of one full generate_walks call; returns steps
+/// Best-of-3 wall time of one full generate_walks call; returns steps
 /// taken via @p steps so rates use the measured run's real work.
 double
 time_walks(const graph::TemporalGraph& graph, walk::WalkConfig config,
            walk::TransitionCacheMode mode, std::uint64_t* steps)
 {
     config.transition_cache = mode;
-    constexpr int kReps = 3;
-    double best = 1e300;
-    for (int rep = 0; rep < kReps; ++rep) {
+    const auto best = bench::best_of(3, [&](int, bench::RepTimer& timer) {
         walk::WalkProfile profile;
-        util::Timer timer;
+        timer.restart();
         const walk::Corpus corpus =
             walk::generate_walks(graph, config, &profile);
-        const double seconds = timer.seconds();
+        timer.stop();
         benchmark::DoNotOptimize(corpus.num_tokens());
-        if (seconds < best) {
-            best = seconds;
-            *steps = profile.steps_taken;
-        }
-    }
-    return best;
+        return profile.steps_taken;
+    });
+    *steps = best.value;
+    return best.seconds;
 }
 
-/// Best-of-N wall time of generate_walks against a prebuilt transition
+/// Best-of-3 wall time of generate_walks against a prebuilt transition
 /// cache — isolates the walk kernel from the (shared) cache build.
 double
 time_walks_cached(const graph::TemporalGraph& graph,
                   const walk::WalkConfig& config,
                   const walk::TransitionCache& cache, std::uint64_t* steps)
 {
-    constexpr int kReps = 3;
-    double best = 1e300;
-    for (int rep = 0; rep < kReps; ++rep) {
+    const auto best = bench::best_of(3, [&](int, bench::RepTimer& timer) {
         walk::WalkProfile profile;
-        util::Timer timer;
+        timer.restart();
         const walk::Corpus corpus =
             walk::generate_walks(graph, config, &cache, &profile);
-        const double seconds = timer.seconds();
+        timer.stop();
         benchmark::DoNotOptimize(corpus.num_tokens());
-        if (seconds < best) {
-            best = seconds;
-            *steps = profile.steps_taken;
-        }
-    }
-    return best;
+        return profile.steps_taken;
+    });
+    *steps = best.value;
+    return best.seconds;
 }
 
 /// Cached-vs-direct A/B on a degree-skewed R-MAT graph (mean degree

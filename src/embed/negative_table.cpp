@@ -24,12 +24,7 @@ NegativeTable::NegativeTable(const Vocab& vocab)
 }
 
 NegativeTable::NegativeTable(const std::vector<std::uint64_t>& counts)
-    : NegativeTable(unigram_weights(counts))
-{
-}
-
-NegativeTable::NegativeTable(const std::vector<double>& weights)
-    : alias_(weights)
+    : alias_(unigram_weights(counts))
 {
 }
 

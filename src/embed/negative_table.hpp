@@ -26,11 +26,6 @@ class NegativeTable
     /// get zero probability; at least one count must be positive.
     explicit NegativeTable(const std::vector<std::uint64_t>& counts);
 
-    /// Build from explicit sampling weights (used verbatim — the caller
-    /// applies any exponent). The streaming trainer's epoch-0 prior,
-    /// (out_degree+1)^0.75 from the CSR, enters through here.
-    explicit NegativeTable(const std::vector<double>& weights);
-
     /// Draw one negative word.
     WordId sample(rng::Random& random) const { return alias_.sample(random); }
 

@@ -159,14 +159,9 @@ SgnsConfig::validate() const
 }
 
 SgnsModel::SgnsModel(const Vocab& vocab, const SgnsConfig& config)
-    : SgnsModel(vocab.size(), config)
-{
-}
-
-SgnsModel::SgnsModel(std::size_t vocab_size, const SgnsConfig& config)
     : dim_(config.dim),
       stride_(config.row_stride == 0 ? config.dim : config.row_stride),
-      vocab_size_(vocab_size)
+      vocab_size_(vocab.size())
 {
     if (dim_ == 0) {
         util::fatal("SgnsModel: dim must be >= 1");

@@ -82,12 +82,6 @@ class SgnsModel
   public:
     SgnsModel(const Vocab& vocab, const SgnsConfig& config);
 
-    /// Identity word space: word id == node id, sized for the full CSR
-    /// node range. This is how the streaming (overlapped) trainer sizes
-    /// the model before a single walk exists — the node-id space is
-    /// known a priori from the graph, only the counts are not.
-    SgnsModel(std::size_t vocab_size, const SgnsConfig& config);
-
     unsigned dim() const { return dim_; }
     unsigned stride() const { return stride_; }
     std::size_t vocab_size() const { return vocab_size_; }

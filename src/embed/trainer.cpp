@@ -173,11 +173,31 @@ merge_output_copies(float* master, std::span<float* const> copies,
     }
 }
 
+namespace {
+
+/// What the round loop trained and did, for the sgns.* metrics.
+struct SgnsRounds
+{
+    /// The input vectors in node-id space.
+    Embedding embedding;
+    std::uint64_t pairs = 0;
+    /// The rate of the final sentence of the final epoch.
+    float last_alpha = 0.0f;
+    /// Bytes of the private output copies (0 when shared).
+    std::size_t replica_bytes = 0;
+    std::uint64_t merge_rounds = 0;
+    /// The team's hardware counters over the loop.
+    obs::PerfSample perf;
+};
+
+/// The round loop behind train_sgns: train @p model over every epoch
+/// of @p corpus, mapping nodes to words through @p vocab and drawing
+/// negatives from @p negatives, and return the embedding for node ids
+/// [0, num_nodes). Fails on divergence with the epoch.
 SgnsRounds
 train_sgns_epochs(SgnsModel& model, const Vocab& vocab,
                   const NegativeTable& negatives, const walk::Corpus& corpus,
-                  graph::NodeId num_nodes, const SgnsConfig& config,
-                  unsigned first_epoch)
+                  graph::NodeId num_nodes, const SgnsConfig& config)
 {
     const kernels::SgnsBackendOps& ops = sgns_kernel_ops(config);
     const std::vector<std::size_t>& offsets = corpus.offsets();
@@ -236,7 +256,7 @@ train_sgns_epochs(SgnsModel& model, const Vocab& vocab,
     // and the close() below aggregates the whole training run.
     obs::PerfRankScopes perf_scopes("sgns", team);
 
-    for (unsigned epoch = first_epoch; epoch < config.epochs; ++epoch) {
+    for (unsigned epoch = 0; epoch < config.epochs; ++epoch) {
         util::check_cancellation("the sgns epoch loop");
         const obs::Span epoch_span("sgns.epoch");
         const std::uint64_t epoch_stream =
@@ -337,12 +357,13 @@ train_sgns_epochs(SgnsModel& model, const Vocab& vocab,
     rounds.replica_bytes = copy_ptrs.size() * matrix_floats * sizeof(float);
     rounds.merge_rounds =
         private_copies
-            ? static_cast<std::uint64_t>(config.epochs - first_epoch) *
+            ? static_cast<std::uint64_t>(config.epochs) *
                   ((num_sentences + round_size - 1) / round_size)
             : 0;
     return rounds;
 }
 
+/// Publish one training run as the sgns.* counters and gauges.
 void
 record_sgns_run(const SgnsConfig& config, const TrainStats& stats,
                 const SgnsRounds& rounds)
@@ -361,6 +382,8 @@ record_sgns_run(const SgnsConfig& config, const TrainStats& stats,
                  ? static_cast<double>(stats.pairs_trained) / stats.seconds
                  : 0.0);
 }
+
+} // namespace
 
 Embedding
 train_sgns(const walk::Corpus& corpus, graph::NodeId num_nodes,
@@ -383,7 +406,7 @@ train_sgns(const walk::Corpus& corpus, graph::NodeId num_nodes,
     const NegativeTable negatives(vocab);
     SgnsModel model(vocab, config);
     SgnsRounds rounds = train_sgns_epochs(model, vocab, negatives, corpus,
-                                          num_nodes, config, 0);
+                                          num_nodes, config);
 
     TrainStats run;
     run.pairs_trained = rounds.pairs;

@@ -21,7 +21,6 @@
 
 #include "embed/embedding.hpp"
 #include "embed/sgns_model.hpp"
-#include "obs/perf_events.hpp"
 #include "walk/corpus.hpp"
 
 #include <cstdint>
@@ -50,37 +49,6 @@ inline constexpr std::size_t kPaperBatchSentences = 16384;
 /// @param stats      optional execution statistics
 Embedding train_sgns(const walk::Corpus& corpus, graph::NodeId num_nodes,
                      const SgnsConfig& config, TrainStats* stats = nullptr);
-
-/// What the round loop trained and did, for the sgns.* metrics.
-struct SgnsRounds
-{
-    /// The input vectors in node-id space.
-    Embedding embedding;
-    std::uint64_t pairs = 0;
-    /// The rate of the final sentence of the final epoch.
-    float last_alpha = 0.0f;
-    /// Bytes of the private output copies (0 when shared).
-    std::size_t replica_bytes = 0;
-    std::uint64_t merge_rounds = 0;
-    /// The team's hardware counters over the loop.
-    obs::PerfSample perf;
-};
-
-/// The round loop behind train_sgns: train @p model over epochs
-/// [first_epoch, config.epochs) of @p corpus, mapping nodes to words
-/// through @p vocab and drawing negatives from @p negatives, and return
-/// the embedding for node ids [0, num_nodes). The streaming trainer
-/// runs its later epochs through it (first_epoch 1, an identity
-/// vocabulary). Fails on divergence with the epoch.
-SgnsRounds train_sgns_epochs(SgnsModel& model, const Vocab& vocab,
-                             const NegativeTable& negatives,
-                             const walk::Corpus& corpus,
-                             graph::NodeId num_nodes,
-                             const SgnsConfig& config, unsigned first_epoch);
-
-/// Publish one training run as the sgns.* counters and gauges.
-void record_sgns_run(const SgnsConfig& config, const TrainStats& stats,
-                     const SgnsRounds& rounds);
 
 /// Learning rate of a sentence that starts @p tokens_before tokens into
 /// the corpus during @p epoch: word2vec's linear decay from

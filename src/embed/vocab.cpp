@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <numeric>
 
 namespace tgl::embed {
 
@@ -48,22 +47,6 @@ Vocab::Vocab(const walk::Corpus& corpus, std::uint64_t min_count)
         node_to_word_[nodes_[w]] = w;
         total_tokens_ += counts_[w];
     }
-}
-
-Vocab
-Vocab::identity(std::vector<std::uint64_t> counts)
-{
-    Vocab vocab;
-    vocab.total_tokens_ =
-        std::accumulate(counts.begin(), counts.end(), std::uint64_t{0});
-    vocab.counts_ = std::move(counts);
-    const std::size_t size = vocab.counts_.size();
-    vocab.nodes_.assign(size, 0);
-    std::iota(vocab.nodes_.begin(), vocab.nodes_.end(), graph::NodeId{0});
-    vocab.node_to_word_.assign(size, 0);
-    std::iota(vocab.node_to_word_.begin(), vocab.node_to_word_.end(),
-              WordId{0});
-    return vocab;
 }
 
 } // namespace tgl::embed

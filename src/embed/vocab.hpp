@@ -34,12 +34,6 @@ class Vocab
     /// @p min_count times (word2vec's min-count filter).
     Vocab(const walk::Corpus& corpus, std::uint64_t min_count = 1);
 
-    /// Identity vocabulary: word w is node w with count counts[w], in
-    /// node order rather than by frequency, zero counts included. The
-    /// streaming trainer's word space, sized from the graph before any
-    /// walk exists.
-    static Vocab identity(std::vector<std::uint64_t> counts);
-
     /// Number of distinct in-vocabulary words.
     std::size_t size() const { return counts_.size(); }
 

@@ -29,7 +29,6 @@
 #include "util/string_util.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
-#include "util/watchdog.hpp"
 
 // rng: generators and samplers
 #include "rng/alias_table.hpp"

@@ -1,11 +1,10 @@
 /// @file
 /// Process-wide cooperative cancellation.
 ///
-/// One global flag, set by SIGINT/SIGTERM handlers or programmatically
-/// (the stall watchdog uses it to unwedge blocked workers). Long-running
-/// phases poll it at safe points — phase boundaries, epoch loops, the
-/// overlap producer loop — and throw Cancelled, which unwinds through
-/// the pipeline leaving every already-flushed checkpoint intact. The
+/// One global flag, set by SIGINT/SIGTERM handlers or programmatically.
+/// Long-running phases poll it at safe points — phase boundaries and
+/// epoch loops — and throw Cancelled, which unwinds through the
+/// pipeline leaving every already-flushed checkpoint intact. The
 /// artifact write paths deliberately do NOT poll, so an interrupt never
 /// strands a half-written artifact: the in-flight store finishes (it is
 /// atomic temp+rename anyway) and the run stops at the next boundary.

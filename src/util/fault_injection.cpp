@@ -262,8 +262,8 @@ fault_point(const char* site)
     }
 
     // kDelay: sleep outside the lock, in slices, so cancellation or a
-    // reconfiguration (the watchdog's recovery path clears failpoints)
-    // cuts a simulated stall short instead of wedging the worker.
+    // reconfiguration cuts a simulated stall short instead of wedging
+    // the worker.
     constexpr std::chrono::milliseconds kSlice{5};
     std::chrono::milliseconds left = delay;
     while (left.count() > 0) {

@@ -20,7 +20,7 @@
 ///               :p=<float>        fire each hit with probability p
 ///                                 (seeded RNG, deterministic)
 ///
-/// Example: "artifact_io.write=error@3;shard_queue.pop=delay:50ms;
+/// Example: "artifact_io.write=error@3;serve.score=delay:50ms;
 ///           checkpoint.load=corrupt:p=0.1"
 ///
 /// Every armed site exports a `failpoint.<site>.hits` counter through
@@ -96,8 +96,8 @@ class FailpointRegistry
 
     /// Bumped on every configure()/clear(). In-flight delay actions
     /// poll it and cut their sleep short when the configuration that
-    /// scheduled them is gone — this is how the watchdog's recovery
-    /// path unwedges a simulated stall.
+    /// scheduled them is gone, so clearing failpoints unwedges a
+    /// simulated stall.
     static std::uint64_t generation();
 };
 

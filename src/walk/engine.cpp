@@ -139,8 +139,8 @@ run_edge_start_walk(const graph::TemporalGraph& graph,
 }
 
 /// Walk one slot into @p tokens, deriving the slot's RNG stream from
-/// the base seed — the seeding contract shared by the block-parallel
-/// and the sharded generation paths.
+/// the base seed, so the corpus does not depend on which thread walks
+/// which slot.
 std::size_t
 walk_slot(const graph::TemporalGraph& graph, const WalkConfig& config,
           const TransitionCache* cache, std::size_t slot_index,
@@ -164,52 +164,30 @@ walk_slot(const graph::TemporalGraph& graph, const WalkConfig& config,
     return written;
 }
 
-/// Input validation shared by every generation entry point.
+/// Reject configurations generate_walks cannot walk.
 void
 validate_walk_inputs(const graph::TemporalGraph& graph,
-                     const WalkConfig& config, const char* who)
+                     const WalkConfig& config)
 {
     if (config.max_length == 0) {
-        util::fatal(util::strcat(who, ": max_length must be >= 1"));
+        util::fatal("generate_walks: max_length must be >= 1");
     }
     if (config.max_length > 254) {
-        util::fatal(util::strcat(who, ": max_length must be <= 254"));
+        util::fatal("generate_walks: max_length must be <= 254");
     }
     if (config.walks_per_node == 0) {
-        util::fatal(util::strcat(who, ": walks_per_node must be >= 1"));
+        util::fatal("generate_walks: walks_per_node must be >= 1");
     }
     if (config.start == StartKind::kTemporalEdge &&
         graph.num_edges() == 0) {
-        util::fatal(util::strcat(who, ": edge-start walks need edges"));
+        util::fatal("generate_walks: edge-start walks need edges");
     }
 }
 
-} // namespace
-
-std::size_t
-total_walk_slots(const graph::TemporalGraph& graph,
-                 const WalkConfig& config)
-{
-    // Both policies generate walks_per_node * num_nodes walks so the
-    // corpus budget is comparable across start policies.
-    return static_cast<std::size_t>(graph.num_nodes()) *
-           config.walks_per_node;
-}
-
-SlotRange
-walk_shard_range(std::size_t total_slots, std::size_t num_shards,
-                 std::size_t index)
-{
-    TGL_ASSERT(num_shards > 0 && index < num_shards);
-    const std::size_t base = total_slots / num_shards;
-    const std::size_t extra = total_slots % num_shards;
-    // The first `extra` shards take base+1 slots each.
-    const std::size_t begin =
-        index * base + std::min<std::size_t>(index, extra);
-    const std::size_t size = base + (index < extra ? 1 : 0);
-    return {begin, begin + size};
-}
-
+/// Expected tokens per walk for pre-sizing corpus storage. Real
+/// temporal walks terminate early (Fig. 4: most are 1-5 tokens), so
+/// this caps the optimistic max_length+1 estimate instead of reserving
+/// the worst case.
 std::size_t
 expected_tokens_per_walk(const WalkConfig& config)
 {
@@ -217,6 +195,7 @@ expected_tokens_per_walk(const WalkConfig& config)
         static_cast<std::size_t>(config.max_length) + 1, 6);
 }
 
+/// Fold @p from into @p into (all counters, including walks_kept).
 void
 accumulate_profile(WalkProfile& into, const WalkProfile& from)
 {
@@ -232,6 +211,7 @@ accumulate_profile(WalkProfile& into, const WalkProfile& from)
     into.transition_cost.compute_ops += from.transition_cost.compute_ops;
 }
 
+/// Emit the walk.* registry counters for one completed walk phase.
 void
 report_walk_metrics(const WalkProfile& totals)
 {
@@ -248,66 +228,16 @@ report_walk_metrics(const WalkProfile& totals)
         .add(totals.candidates_scanned);
 }
 
-Corpus
-generate_walk_shard(const graph::TemporalGraph& graph,
-                    const WalkConfig& config, const TransitionCache* cache,
-                    SlotRange slots, WalkProfile* profile)
+} // namespace
+
+std::size_t
+total_walk_slots(const graph::TemporalGraph& graph,
+                 const WalkConfig& config)
 {
-    validate_walk_inputs(graph, config, "generate_walk_shard");
-    TGL_ASSERT(slots.begin <= slots.end);
-
-    const std::size_t tokens_per_walk =
-        static_cast<std::size_t>(config.max_length) + 1;
-    Corpus shard;
-    shard.reserve(slots.size(),
-                  slots.size() * expected_tokens_per_walk(config));
-
-    // Shards run on overlap-producer threads; the scope attributes
-    // their work to the same "walk" phase as the block-parallel path.
-    obs::PerfScope perf_scope("walk");
-
-    WalkProfile local;
-    const unsigned batch_width =
-        resolve_batch_width(config, graph, cache != nullptr);
-    if (batch_width > 1) {
-        log_batch_dispatch(batch_width);
-        // Lanes are fully independent (per-slot RNG streams), so
-        // grouping relative to the shard start reproduces exactly the
-        // per-slot tokens of any other partition of the same slots.
-        const std::size_t group = batch_width * kBatchRefillFactor;
-        std::vector<graph::NodeId> rows(group * tokens_per_walk);
-        std::vector<std::uint8_t> lens(group);
-        for (std::size_t begin = slots.begin; begin < slots.end;
-             begin += group) {
-            const std::size_t end = std::min(slots.end, begin + group);
-            run_walk_batch(graph, config, cache, {begin, end},
-                           batch_width, rows.data(), tokens_per_walk,
-                           lens.data(), local);
-            for (std::size_t i = 0; i < end - begin; ++i) {
-                if (lens[i] >= config.min_walk_tokens) {
-                    shard.add_walk(
-                        {rows.data() + i * tokens_per_walk, lens[i]});
-                }
-            }
-        }
-    } else {
-        std::vector<graph::NodeId> buffer(tokens_per_walk);
-        std::vector<std::uint32_t> scratch;
-        for (std::size_t slot_index = slots.begin;
-             slot_index < slots.end; ++slot_index) {
-            const std::size_t len =
-                walk_slot(graph, config, cache, slot_index, buffer.data(),
-                          scratch, local);
-            if (len >= config.min_walk_tokens) {
-                shard.add_walk({buffer.data(), len});
-            }
-        }
-    }
-    local.walks_kept = shard.num_walks();
-    if (profile != nullptr) {
-        accumulate_profile(*profile, local);
-    }
-    return shard;
+    // Both policies generate walks_per_node * num_nodes walks so the
+    // corpus budget is comparable across start policies.
+    return static_cast<std::size_t>(graph.num_nodes()) *
+           config.walks_per_node;
 }
 
 Corpus
@@ -336,7 +266,7 @@ Corpus
 generate_walks(const graph::TemporalGraph& graph, const WalkConfig& config,
                const TransitionCache* cache, WalkProfile* profile)
 {
-    validate_walk_inputs(graph, config, "generate_walks");
+    validate_walk_inputs(graph, config);
 
     obs::Span span("walk.generate");
 

@@ -14,12 +14,14 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <limits>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 
 namespace {
 
@@ -131,6 +133,49 @@ TEST(BenchJson, DegenerateNumbersClampToZero)
     EXPECT_NE(json.find("\"seconds\": 0, \"items_per_second\": 0"),
               std::string::npos)
         << json;
+}
+
+/// Keep the CPU busy for @p duration of wall time.
+void
+spin_for(std::chrono::milliseconds duration)
+{
+    const auto end = std::chrono::steady_clock::now() + duration;
+    while (std::chrono::steady_clock::now() < end) {
+    }
+}
+
+TEST(BenchJson, BestOfKeepsTheFastestRepsWallCpuAndValue)
+{
+    using namespace std::chrono_literals;
+    // Rep 1 sleeps (wall time, almost no CPU); reps 0 and 2 spin for
+    // longer. Each rep's setup and tail spin outside the timed region.
+    int calls = 0;
+    const auto best =
+        bench::best_of(3, [&](int rep, bench::RepTimer& timer) {
+            ++calls;
+            spin_for(50ms);
+            timer.restart();
+            if (rep == 1) {
+                std::this_thread::sleep_for(20ms);
+            } else {
+                spin_for(rep == 0 ? 80ms : 60ms);
+            }
+            timer.stop();
+            spin_for(50ms);
+            return rep * 10;
+        });
+    EXPECT_EQ(calls, 3);
+    EXPECT_EQ(best.value, 10);
+    EXPECT_GE(best.seconds, 0.02);
+    EXPECT_LT(best.seconds, 0.075); // setup and tail are not timed
+    EXPECT_LT(best.cpu_seconds, 0.5 * best.seconds);
+
+    int void_calls = 0;
+    const auto none =
+        bench::best_of(2, [&](int, bench::RepTimer&) { ++void_calls; });
+    EXPECT_EQ(void_calls, 2);
+    EXPECT_GE(none.seconds, 0.0);
+    EXPECT_LT(none.seconds, 1.0);
 }
 
 } // namespace

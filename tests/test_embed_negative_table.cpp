@@ -1,7 +1,9 @@
 /// Tests for the unigram^0.75 negative-sampling table.
 #include "embed/negative_table.hpp"
 
+#include "graph/builder.hpp"
 #include "util/error.hpp"
+#include "walk/engine.hpp"
 
 #include <gtest/gtest.h>
 
@@ -92,8 +94,8 @@ chi_square(const std::vector<int>& observed,
     return chi2;
 }
 
-// Zero-count words (nodes the streaming trainer's shards never saw)
-// must never be drawn, and the rest must follow the count^0.75 law.
+// Zero-count words must never be drawn, and the rest must follow the
+// count^0.75 law.
 TEST(NegativeTable, AliasChiSquareWithZeroCounts)
 {
     const std::vector<std::uint64_t> counts = {0, 400, 0, 81, 16, 0, 1};
@@ -112,6 +114,69 @@ TEST(NegativeTable, AliasChiSquareWithZeroCounts)
     // 4 sampleable words -> 3 degrees of freedom; 18.0 is past the
     // 99.9% critical value 16.3 of chi2(3).
     EXPECT_LT(chi_square(alias_hits, weights, draws), 18.0);
+}
+
+TEST(NegativeTable, CountAndVocabTablesMatchUnigramOnWalkCorpus)
+{
+    // A table built from per-node counts (node space) and one built
+    // from the Vocab (word space) must both draw nodes by the same
+    // analytic unigram^0.75 law of a real walk corpus.
+    graph::EdgeList edges;
+    constexpr graph::NodeId kRing = 40;
+    for (graph::NodeId u = 0; u < kRing; ++u) {
+        edges.add(u, (u + 1) % kRing, 0.01 * u);
+        edges.add(u, (u + 7) % kRing, 0.01 * u + 0.005);
+        edges.add(u, (u + 13) % kRing, 0.01 * u + 0.007);
+    }
+    const graph::TemporalGraph graph =
+        graph::GraphBuilder::build(edges, {.symmetrize = true});
+    walk::WalkConfig walk_config;
+    walk_config.walks_per_node = 4;
+    walk_config.max_length = 8;
+    walk_config.seed = 77;
+    walk_config.transition_cache = walk::TransitionCacheMode::kOff;
+    const walk::Corpus corpus = walk::generate_walks(graph, walk_config);
+    const Vocab vocab(corpus);
+
+    std::vector<std::uint64_t> counts(graph.num_nodes(), 0);
+    for (const graph::NodeId node : corpus.tokens()) {
+        ++counts[node];
+    }
+    std::vector<double> expected(graph.num_nodes());
+    double norm = 0.0;
+    for (graph::NodeId v = 0; v < graph.num_nodes(); ++v) {
+        expected[v] = std::pow(static_cast<double>(counts[v]), 0.75);
+        norm += expected[v];
+    }
+
+    constexpr std::uint64_t kDraws = 200000;
+    const auto chi_square = [&](const std::vector<std::uint64_t>& hits) {
+        double chi2 = 0.0;
+        for (graph::NodeId v = 0; v < graph.num_nodes(); ++v) {
+            const double want = kDraws * expected[v] / norm;
+            const double diff = static_cast<double>(hits[v]) - want;
+            chi2 += diff * diff / want;
+        }
+        return chi2;
+    };
+
+    const NegativeTable from_counts(counts);
+    std::vector<std::uint64_t> count_hits(graph.num_nodes(), 0);
+    rng::Random random_a(123);
+    for (std::uint64_t i = 0; i < kDraws; ++i) {
+        ++count_hits[from_counts.sample(random_a)];
+    }
+
+    const NegativeTable from_vocab(vocab);
+    std::vector<std::uint64_t> vocab_hits(graph.num_nodes(), 0);
+    rng::Random random_b(456);
+    for (std::uint64_t i = 0; i < kDraws; ++i) {
+        ++vocab_hits[vocab.node_of(from_vocab.sample(random_b))];
+    }
+
+    // 39 dof, 99.9% critical value ~72.1.
+    EXPECT_LT(chi_square(count_hits), 72.1);
+    EXPECT_LT(chi_square(vocab_hits), 72.1);
 }
 
 } // namespace

@@ -3,9 +3,11 @@
 /// automatic and set (batched) round sizes and every optimization knob.
 #include "embed/trainer.hpp"
 
+#include "graph/builder.hpp"
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
+#include "walk/engine.hpp"
 
 #include <gtest/gtest.h>
 
@@ -382,6 +384,56 @@ TEST(Sgns, BatchedLaunchesMergeCopiesOnlyWhenLargeEnough)
     const obs::MetricsSnapshot small = train_and_scrape(1);
     EXPECT_EQ(small.value("sgns.replica_bytes"), 0.0);
     EXPECT_EQ(small.value("sgns.merge_rounds"), 0.0);
+}
+
+TEST(Sgns, VocabCountsAndStatsMatchWalkCorpus)
+{
+    // A ring with chords and increasing timestamps: every node is
+    // reachable and every walk slot productive.
+    graph::EdgeList edges;
+    constexpr graph::NodeId kRing = 60;
+    for (graph::NodeId u = 0; u < kRing; ++u) {
+        edges.add(u, (u + 1) % kRing, 0.01 * u);
+        edges.add(u, (u + 7) % kRing, 0.01 * u + 0.005);
+        edges.add(u, (u + 13) % kRing, 0.01 * u + 0.007);
+    }
+    const graph::TemporalGraph graph =
+        graph::GraphBuilder::build(edges, {.symmetrize = true});
+    walk::WalkConfig walk_config;
+    walk_config.walks_per_node = 4;
+    walk_config.max_length = 8;
+    walk_config.seed = 77;
+    walk_config.transition_cache = walk::TransitionCacheMode::kOff;
+    const walk::Corpus corpus = walk::generate_walks(graph, walk_config);
+
+    // The vocabulary counts every token of the corpus, node by node.
+    std::vector<std::uint64_t> counts(graph.num_nodes(), 0);
+    for (const graph::NodeId node : corpus.tokens()) {
+        ++counts[node];
+    }
+    const Vocab vocab(corpus);
+    std::uint64_t total_counted = 0;
+    for (graph::NodeId node = 0; node < graph.num_nodes(); ++node) {
+        const WordId word = vocab.word_of(node);
+        const std::uint64_t counted =
+            word == kNoWord ? 0 : vocab.count(word);
+        EXPECT_EQ(counted, counts[node]) << "node " << node;
+        total_counted += counted;
+    }
+    EXPECT_EQ(total_counted, corpus.num_tokens());
+    EXPECT_EQ(vocab.total_tokens(), corpus.num_tokens());
+
+    // Every epoch trains the whole corpus, into node-id space.
+    SgnsConfig config;
+    config.dim = 8;
+    config.epochs = 2;
+    config.seed = 5;
+    config.num_threads = 2;
+    TrainStats stats;
+    const Embedding embedding =
+        train_sgns(corpus, graph.num_nodes(), config, &stats);
+    EXPECT_EQ(stats.tokens_processed, corpus.num_tokens() * config.epochs);
+    EXPECT_EQ(embedding.num_nodes(), graph.num_nodes());
 }
 
 TEST(Sgns, FourThreadsSeparateCommunitiesAcrossSeeds)

@@ -1,6 +1,8 @@
 /// End-to-end pipeline integration tests on catalog datasets.
 #include "core/pipeline.hpp"
 
+#include "graph/builder.hpp"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -198,6 +200,84 @@ TEST(Pipeline, ResidualClassifierWorksEndToEnd)
     // Parity-or-near claim only: synthetic stand-ins give the extra
     // capacity nothing to use (see ablation_baselines).
     EXPECT_GT(result.task.test_auc, 0.55);
+}
+
+/// Ring with chords and increasing timestamps: every node reachable,
+/// every walk slot productive.
+graph::EdgeList
+ring_edges(graph::NodeId n)
+{
+    graph::EdgeList edges;
+    for (graph::NodeId u = 0; u < n; ++u) {
+        edges.add(u, (u + 1) % n, 0.01 * u);
+        edges.add(u, (u + 7) % n, 0.01 * u + 0.005);
+        edges.add(u, (u + 13) % n, 0.01 * u + 0.007);
+    }
+    return edges;
+}
+
+PipelineConfig
+ring_pipeline()
+{
+    PipelineConfig config;
+    config.walk.walks_per_node = 4;
+    config.walk.max_length = 8;
+    config.walk.seed = 77;
+    config.walk.transition_cache = walk::TransitionCacheMode::kOff;
+    config.sgns.dim = 8;
+    config.sgns.num_threads = 1;
+    config.classifier.max_epochs = 2;
+    return config;
+}
+
+/// The front end runs build -> generate_walks -> train_sgns back to
+/// back: the corpus is generate_walks' own, word2vec trains every epoch
+/// of it, and the run's total is the sum of its phases.
+void
+expect_sequential_front_end(const graph::EdgeList& edges,
+                            const PipelineConfig& config,
+                            const PipelineResult& result)
+{
+    const graph::TemporalGraph graph = graph::GraphBuilder::build(
+        edges, {.symmetrize = config.symmetrize_graph});
+    const walk::Corpus corpus = walk::generate_walks(graph, config.walk);
+    EXPECT_EQ(result.corpus_walks, corpus.num_walks());
+    EXPECT_EQ(result.corpus_tokens, corpus.num_tokens());
+    EXPECT_EQ(result.w2v_stats.tokens_processed,
+              corpus.num_tokens() * config.sgns.epochs);
+    EXPECT_NEAR(result.times.total(),
+                result.times.build_graph + result.times.random_walk +
+                    result.times.word2vec + result.times.data_prep +
+                    result.times.train + result.times.test,
+                1e-9);
+}
+
+// The name predates the removal of the overlapped front end; what
+// remains to check is that the pipeline's corpus, word2vec pass count
+// and phase total match a hand-run sequential front end, and that the
+// accuracy stays in a sane band.
+TEST(Pipeline, OverlapOnMatchesOffEndToEnd)
+{
+    const graph::EdgeList edges = ring_edges(80);
+    PipelineConfig config = ring_pipeline();
+    config.walk.num_threads = 2;
+    config.sgns.epochs = 2;
+    const PipelineResult result = run_link_prediction_pipeline(edges, config);
+
+    expect_sequential_front_end(edges, config, result);
+    EXPECT_GT(result.task.test_accuracy, 0.4);
+    EXPECT_LE(result.task.test_accuracy, 1.0);
+}
+
+TEST(Pipeline, AutoFallsBackToSequentialOnOneThread)
+{
+    const graph::EdgeList edges = ring_edges(40);
+    PipelineConfig config = ring_pipeline();
+    config.walk.num_threads = 1;
+    config.sgns.epochs = 1;
+    const PipelineResult result = run_link_prediction_pipeline(edges, config);
+
+    expect_sequential_front_end(edges, config, result);
 }
 
 TEST(Pipeline, FormatPhaseTimesMentionsAllPhases)
